@@ -70,6 +70,7 @@ from .invariants import (
     VERDICT_QUOTIENT,
     VERDICT_STRONG,
     ConnectivityReport,
+    GraphAnalysis,
     VelocitySet,
     connectivity_report,
     velocity_polytope,
@@ -90,6 +91,7 @@ __all__ = [
     "DisplacementGraph",
     "Edge",
     "Facet",
+    "GraphAnalysis",
     "NotStronglyConnectedError",
     "Polytope",
     "TrajectoryPlan",

@@ -15,10 +15,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycles import DEFAULT_MAX_CYCLES, Cycle, basic_velocities, enumerate_cycles, path_displacement
+from .cycles import DEFAULT_MAX_CYCLES, Cycle, path_displacement
 from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, convergence_check, empirical_velocity, schedule
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, VeloError
 from .geometry import (
+    Anisotropy,
     Polytope,
     anisotropy,
     contains_polytope,
@@ -35,9 +36,8 @@ from .graph import (
     gamma_norm_oracle,
     parse_dgf,
     serialize_dgf,
-    strongly_connected_components,
 )
-from .invariants import VERDICT_STRONG, connectivity_report, velocity_polytope, velocity_set
+from .invariants import VERDICT_STRONG, ConnectivityReport, GraphAnalysis
 from .realize import realize
 from .svg import polytope_svg
 
@@ -66,6 +66,10 @@ def _load_graph(path: str) -> DisplacementGraph:
         return parse_dgf(fh.read())
 
 
+def _analyze(path: str, budgets: Budgets) -> GraphAnalysis:
+    return GraphAnalysis(_load_graph(path), max_cycles=budgets.max_cycles)
+
+
 def _polytope_text(p: Polytope, note: str | None = None) -> str:
     lines = [f"dim {p.dim}"]
     if p.is_empty:
@@ -81,47 +85,96 @@ def _polytope_text(p: Polytope, note: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_text(g: DisplacementGraph, budgets: Budgets) -> str:
-    rep = connectivity_report(g, max_cycles=budgets.max_cycles)
-    cycles = enumerate_cycles(g, budgets.max_cycles)
-    lines = [
-        f"vertices {len(g.vertices)}",
-        f"edges {len(g.edges)}",
+def _verdict_lines(rep: ConnectivityReport) -> list[str]:
+    return [
         f"verdict {rep.verdict}",
         f"scc_count {rep.scc_count}",
         f"cycle_lattice_rank {rep.cycle_lattice_rank}",
         f"lattice_index {rep.lattice_index if rep.lattice_index is not None else '-'}",
         f"cone_full {'true' if rep.cone_full else 'false'}",
-        f"cycles {len(cycles)}",
     ]
-    vels = basic_velocities(g, budgets.max_cycles)
-    for v in vels:
-        lines.append("velocity " + " ".join(format_rational(c) for c in v))
-    if rep.scc_count == 1:
-        poly = velocity_polytope(g, max_cycles=budgets.max_cycles)
-        lines.append(_polytope_text(poly, note="no cycles").rstrip("\n"))
+
+
+def _anisotropy_dict(an: Anisotropy) -> dict:
+    return {
+        "inradius2": format_rational(an.inradius_sq),
+        "circumradius2": format_rational(an.circumradius_sq),
+        "isotropic": an.isotropic,
+    }
+
+
+def _anisotropy_lines(an: Anisotropy) -> list[str]:
+    return [
+        f"inradius2 {format_rational(an.inradius_sq)}",
+        f"circumradius2 {format_rational(an.circumradius_sq)}",
+        f"isotropic {'true' if an.isotropic else 'false'}",
+    ]
+
+
+def _report_payload(analysis: GraphAnalysis) -> dict:
+    """Everything `report` prints, for both renderers.
+
+    A strongly connected quotient adds its polytope and its anisotropy (or the
+    ValueError saying why that is unavailable); otherwise the number of
+    components with a velocity polytope is given.
+    """
+    payload: dict = {
+        "graph": analysis.graph,
+        "report": analysis.report,
+        "cycles": len(analysis.cycles),
+        "velocities": analysis.velocities,
+    }
+    if analysis.report.scc_count == 1:
+        payload["polytope"] = poly = analysis.polytope
         try:
-            an = anisotropy(poly)
-            lines.append(f"inradius2 {format_rational(an.inradius_sq)}")
-            lines.append(f"circumradius2 {format_rational(an.circumradius_sq)}")
-            lines.append(f"isotropic {'true' if an.isotropic else 'false'}")
+            payload["anisotropy"] = anisotropy(poly)
         except ValueError as exc:
-            lines.append(f"anisotropy unavailable ({exc})")
+            payload["anisotropy"] = exc
     else:
-        vset = velocity_set(g, max_cycles=budgets.max_cycles)
-        lines.append(f"components {len(vset.components)}")
+        payload["components"] = len(analysis.components)
+    return payload
+
+
+def _report_text(payload: dict) -> str:
+    g = payload["graph"]
+    lines = [
+        f"vertices {len(g.vertices)}",
+        f"edges {len(g.edges)}",
+        *_verdict_lines(payload["report"]),
+        f"cycles {payload['cycles']}",
+    ]
+    for v in payload["velocities"]:
+        lines.append("velocity " + " ".join(format_rational(c) for c in v))
+    if "polytope" in payload:
+        lines.append(_polytope_text(payload["polytope"], note="no cycles").rstrip("\n"))
+        an = payload["anisotropy"]
+        if isinstance(an, Anisotropy):
+            lines.extend(_anisotropy_lines(an))
+        else:
+            lines.append(f"anisotropy unavailable ({an})")
+    else:
+        lines.append(f"components {payload['components']}")
     return "\n".join(lines) + "\n"
 
 
-def _connectivity_text(g: DisplacementGraph, budgets: Budgets) -> str:
-    rep = connectivity_report(g, max_cycles=budgets.max_cycles)
-    return (
-        f"verdict {rep.verdict}\n"
-        f"scc_count {rep.scc_count}\n"
-        f"cycle_lattice_rank {rep.cycle_lattice_rank}\n"
-        f"lattice_index {rep.lattice_index if rep.lattice_index is not None else '-'}\n"
-        f"cone_full {'true' if rep.cone_full else 'false'}\n"
-    )
+def _report_json(payload: dict) -> str:
+    g, rep = payload["graph"], payload["report"]
+    out: dict = {
+        "vertices": list(g.vertices),
+        "edges": len(g.edges),
+        "verdict": rep.verdict,
+        "scc_count": rep.scc_count,
+        "cycle_lattice_rank": rep.cycle_lattice_rank,
+        "lattice_index": rep.lattice_index,
+        "cone_full": rep.cone_full,
+        "cycles": payload["cycles"],
+        "basic_velocities": [[format_rational(c) for c in v] for v in payload["velocities"]],
+    }
+    if "polytope" in payload:
+        out["polytope"] = polytope_to_dict(payload["polytope"])
+        an = payload["anisotropy"]
+        out["anisotropy"] = _anisotropy_dict(an) if isinstance(an, Anisotropy) else None
+    return json.dumps(out, indent=2) + "\n"
 
 
 def _cycle_route(g: DisplacementGraph, cycle: Cycle) -> str:
@@ -141,10 +194,9 @@ def _parse_metric(text: str) -> list[list[Fraction]]:
 
 
 def cmd_polytope(args: argparse.Namespace, budgets: Budgets) -> int:
-    g = _load_graph(args.graph)
-    sccs_single = connectivity_report(g, max_cycles=budgets.max_cycles).scc_count == 1
-    if sccs_single:
-        poly = velocity_polytope(g, max_cycles=budgets.max_cycles)
+    analysis = _analyze(args.graph, budgets)
+    if len(analysis.sccs) == 1:
+        poly = analysis.polytope
         if args.svg:
             with open(args.svg, "w") as fh:
                 fh.write(polytope_svg(poly))
@@ -155,24 +207,23 @@ def cmd_polytope(args: argparse.Namespace, budgets: Budgets) -> int:
         return 0
     if args.svg:
         return _fail("--svg requires a strongly connected quotient graph")
-    vset = velocity_set(g, max_cycles=budgets.max_cycles)
-    comps = strongly_connected_components(g)
+    g, comps = analysis.graph, analysis.sccs
     if args.json:
         payload = {
-            "dim": vset.dim,
+            "dim": g.dim,
             "components": [
                 {
                     "scc": comp_id,
                     "vertices": [g.vertices[v] for v in comps[comp_id]],
                     "polytope": polytope_to_dict(poly),
                 }
-                for comp_id, poly in vset.components
+                for comp_id, poly in analysis.components
             ],
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        lines = [f"dim {vset.dim}", f"components {len(vset.components)}"]
-        for comp_id, poly in vset.components:
+        lines = [f"dim {g.dim}", f"components {len(analysis.components)}"]
+        for comp_id, poly in analysis.components:
             names = ",".join(g.vertices[v] for v in comps[comp_id])
             lines.append(f"component {comp_id} vertices {names}")
             lines.append(_polytope_text(poly).rstrip("\n"))
@@ -181,20 +232,19 @@ def cmd_polytope(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
-    g = _load_graph(args.graph)
-    rep = connectivity_report(g, max_cycles=budgets.max_cycles)
+    analysis = _analyze(args.graph, budgets)
+    rep = analysis.report
     if rep.verdict != VERDICT_STRONG:
-        sys.stderr.write(_connectivity_text(g, budgets))
+        sys.stderr.write("\n".join(_verdict_lines(rep)) + "\n")
         print(f"error: graph is {rep.verdict}, not {VERDICT_STRONG}", file=sys.stderr)
         return 3
     x = tuple(args.x)
-    poly = velocity_polytope(g, max_cycles=budgets.max_cycles)
-    value = gauge_norm(poly, [Fraction(c) for c in x])
+    value = gauge_norm(analysis.polytope, [Fraction(c) for c in x])
     norm_text = "inf" if value is None else format_rational(value)
     payload: dict = {"norm": norm_text}
     lines = [norm_text]
     if args.oracle:
-        oracle = gamma_norm_oracle(g, x, args.n, patch_budget=budgets.patch)
+        oracle = gamma_norm_oracle(analysis.graph, x, args.n, patch_budget=budgets.patch)
         payload["n"] = args.n
         payload["oracle"] = format_rational(oracle)
         lines.append(f"oracle {format_rational(oracle)}")
@@ -210,8 +260,8 @@ def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
-    g = _load_graph(args.graph)
-    cycles = enumerate_cycles(g, budgets.max_cycles)
+    analysis = _analyze(args.graph, budgets)
+    g, cycles = analysis.graph, analysis.cycles
     if args.json:
         payload = {"count": len(cycles), "cycles": [list(c.edges) for c in cycles]}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -223,9 +273,9 @@ def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
-    g = _load_graph(args.graph)
+    analysis = _analyze(args.graph, budgets)
+    g, cycles = analysis.graph, analysis.cycles
     weights = _parse_rationals(args.weights)
-    cycles = enumerate_cycles(g, budgets.max_cycles)
     if args.cycles:
         indices = [int(tok) for tok in args.cycles.split(",") if tok.strip()]
     else:
@@ -247,8 +297,7 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
             target[j] += weight * Fraction(disp[j], cycle.length)
     vel = empirical_velocity(g, prefix)
     gap = max(abs(a - b) for a, b in zip(vel, target))
-    poly = velocity_polytope(g, max_cycles=budgets.max_cycles)
-    dist = convergence_check(g, prefix, poly)
+    dist = convergence_check(g, prefix, analysis.polytope)
     payload = {
         "target": [format_rational(c) for c in target],
         "steps": len(prefix),
@@ -275,11 +324,10 @@ def cmd_realize(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def cmd_check_morphism(args: argparse.Namespace, budgets: Budgets) -> int:
-    src = _load_graph(args.source)
-    dst = _load_graph(args.dest)
-    p_src = velocity_polytope(src, max_cycles=budgets.max_cycles)
-    p_dst = velocity_polytope(dst, max_cycles=budgets.max_cycles)
-    if contains_polytope(p_dst, p_src):
+    src = _analyze(args.source, budgets)
+    dst = _analyze(args.dest, budgets)
+    p_src = src.polytope
+    if contains_polytope(dst.polytope, p_src):
         print("inconclusive")
     else:
         print("morphism impossible")
@@ -287,56 +335,19 @@ def cmd_check_morphism(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def cmd_anisotropy(args: argparse.Namespace, budgets: Budgets) -> int:
-    g = _load_graph(args.graph)
-    poly = velocity_polytope(g, max_cycles=budgets.max_cycles)
+    poly = _analyze(args.graph, budgets).polytope
     metric = _parse_metric(args.metric) if args.metric else None
     an = anisotropy(poly, metric)
-    payload = {
-        "inradius2": format_rational(an.inradius_sq),
-        "circumradius2": format_rational(an.circumradius_sq),
-        "isotropic": an.isotropic,
-    }
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(_anisotropy_dict(an), indent=2) + "\n")
     else:
-        print(f"inradius2 {payload['inradius2']}")
-        print(f"circumradius2 {payload['circumradius2']}")
-        print(f"isotropic {'true' if an.isotropic else 'false'}")
+        sys.stdout.write("\n".join(_anisotropy_lines(an)) + "\n")
     return 0
 
 
 def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
-    g = _load_graph(args.graph)
-    if args.json:
-        rep = connectivity_report(g, max_cycles=budgets.max_cycles)
-        payload: dict = {
-            "vertices": list(g.vertices),
-            "edges": len(g.edges),
-            "verdict": rep.verdict,
-            "scc_count": rep.scc_count,
-            "cycle_lattice_rank": rep.cycle_lattice_rank,
-            "lattice_index": rep.lattice_index,
-            "cone_full": rep.cone_full,
-            "cycles": len(enumerate_cycles(g, budgets.max_cycles)),
-            "basic_velocities": [
-                [format_rational(c) for c in v] for v in basic_velocities(g, budgets.max_cycles)
-            ],
-        }
-        if rep.scc_count == 1:
-            poly = velocity_polytope(g, max_cycles=budgets.max_cycles)
-            payload["polytope"] = polytope_to_dict(poly)
-            try:
-                an = anisotropy(poly)
-                payload["anisotropy"] = {
-                    "inradius2": format_rational(an.inradius_sq),
-                    "circumradius2": format_rational(an.circumradius_sq),
-                    "isotropic": an.isotropic,
-                }
-            except ValueError:
-                payload["anisotropy"] = None
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write(_report_text(g, budgets))
+    payload = _report_payload(_analyze(args.graph, budgets))
+    sys.stdout.write(_report_json(payload) if args.json else _report_text(payload))
     return 0
 
 
@@ -347,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polytope", help="velocity polytope of a graph (per SCC if disconnected)")
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true", help="default output format")
     p.add_argument("--svg", metavar="PATH", help="write a 2-d SVG rendering")
     p.set_defaults(func=cmd_polytope)
 

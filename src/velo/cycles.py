@@ -3,14 +3,15 @@
 Cycles are sequences of edge ids that compose, close, and repeat no vertex,
 so their length never exceeds the vertex count.  Two rotations of the same
 edge sequence are the same cycle; the canonical representative is the
-lexicographically smallest rotation.
+lexicographically smallest rotation.  A simple cycle repeats no edge, so that
+rotation is the one starting at the cycle's least edge id.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetError
 from .graph import DisplacementGraph, IntVec, _tarjan
@@ -37,6 +38,16 @@ def path_displacement(g: DisplacementGraph, path: Sequence[int]) -> IntVec:
         for i, c in enumerate(g.edges[eid].displacement):
             total[i] += c
     return tuple(total)
+
+
+def _displacement_sum(disps: Sequence[IntVec], path: Sequence[int]) -> IntVec:
+    """Sum of ``disps[eid]`` over a path already known to compose (one edge at least)."""
+    return tuple(map(sum, zip(*[disps[eid] for eid in path])))
+
+
+def _velocities(pairs: Iterable[tuple[IntVec, int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Distinct displacement-per-step vectors of (displacement, length) pairs, sorted."""
+    return tuple(sorted({tuple(Fraction(d, n) for d in disp) for disp, n in pairs}))
 
 
 def least_rotation(seq: Sequence[int]) -> int:
@@ -175,7 +186,8 @@ def enumerate_cycles(
                     g.vertices[v] for v in sorted(comp)
                 ) + "}"
             raise BudgetError(f"cycle budget of {max_cycles} exceeded{where}")
-        found.append(canonical_rotation(edge_seq))
+        k = edge_seq.index(min(edge_seq))
+        found.append(tuple(edge_seq[k:] + edge_seq[:k]))
 
     for eid, e in enumerate(g.edges):
         if e.source == e.target:
@@ -207,11 +219,10 @@ def basic_velocities(
     g: DisplacementGraph, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Deduplicated displacement-per-step vectors of all simple cycles, sorted."""
-    vels = set()
-    for c in enumerate_cycles(g, max_cycles):
-        disp = path_displacement(g, c.edges)
-        vels.add(tuple(Fraction(d, c.length) for d in disp))
-    return tuple(sorted(vels))
+    disps = [e.displacement for e in g.edges]
+    return _velocities(
+        {(_displacement_sum(disps, c.edges), c.length) for c in enumerate_cycles(g, max_cycles)}
+    )
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,6 @@ class DisplacementGraph:
         """Largest infinity norm of any edge displacement (0 for an edgeless graph)."""
         return max((inf_norm(e.displacement) for e in self.edges), default=0)
 
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertices.index(name)
-        except ValueError:
-            raise ValueError(f"unknown vertex {name!r}") from None
-
 
 def _is_vertex_name(token: str) -> bool:
     return token.isascii() and token.isidentifier()

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
-from .cycles import DEFAULT_MAX_CYCLES, basic_velocities, enumerate_cycles, path_displacement
+from .cycles import DEFAULT_MAX_CYCLES, Cycle, _displacement_sum, _velocities, enumerate_cycles
 from .errors import NotStronglyConnectedError
 from .geometry import DEFAULT_FACET_BUDGET, Polytope, convex_hull, origin_in_hull_interior
-from .graph import DisplacementGraph, Edge, strongly_connected_components
+from .graph import DisplacementGraph, IntVec, strongly_connected_components
 from .intlattice import lattice_rank_and_index
 
 VERDICT_STRONG = "StronglyConnectedPeriodic"
@@ -34,31 +36,126 @@ class ConnectivityReport:
     verdict: str
 
 
+@dataclass(frozen=True)
+class VelocitySet:
+    """Velocity polytopes per strongly connected component; their union is the full set."""
+
+    dim: int
+    components: tuple[tuple[int, Polytope], ...]
+
+
+class GraphAnalysis:
+    """The invariants of one graph, each computed lazily and at most once.
+
+    Every field builds on the one before: the simple cycles are enumerated
+    once for the whole graph, reduced to their distinct (displacement, length)
+    pairs per strongly connected component, then to velocities, per-component
+    polytopes and the connectivity verdict.  The cycle budget therefore counts
+    the cycles of the whole graph.
+    """
+
+    def __init__(
+        self,
+        g: DisplacementGraph,
+        *,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
+        facet_budget: int = DEFAULT_FACET_BUDGET,
+    ) -> None:
+        self.graph = g
+        self.max_cycles = max_cycles
+        self.facet_budget = facet_budget
+
+    @cached_property
+    def sccs(self) -> tuple[tuple[int, ...], ...]:
+        return strongly_connected_components(self.graph)
+
+    @cached_property
+    def scc_membership(self) -> tuple[int, ...]:
+        membership = [0] * len(self.graph.vertices)
+        for comp_id, comp in enumerate(self.sccs):
+            for v in comp:
+                membership[v] = comp_id
+        return tuple(membership)
+
+    @cached_property
+    def cycles(self) -> tuple[Cycle, ...]:
+        return enumerate_cycles(self.graph, self.max_cycles)
+
+    @cached_property
+    def cycle_pairs(self) -> dict[int, set[tuple[IntVec, int]]]:
+        """Distinct (displacement, length) pairs of the simple cycles, keyed by component id.
+
+        A cycle lies inside one component, that of its first edge's source.
+        """
+        g = self.graph
+        disps = [e.displacement for e in g.edges]
+        edge_scc = [self.scc_membership[e.source] for e in g.edges]
+        pairs: dict[int, set[tuple[IntVec, int]]] = {}
+        for c in self.cycles:
+            path = c.edges
+            pair = (_displacement_sum(disps, path), len(path))
+            pairs.setdefault(edge_scc[path[0]], set()).add(pair)
+        return dict(sorted(pairs.items()))
+
+    @cached_property
+    def velocities(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basic velocities: distinct displacement per step of the simple cycles, sorted."""
+        return _velocities(p for pairs in self.cycle_pairs.values() for p in pairs)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, Polytope], ...]:
+        """(component id, velocity polytope) for every component that has a cycle."""
+        dim, budget = self.graph.dim, self.facet_budget
+        return tuple(
+            (comp_id, convex_hull(_velocities(pairs), dim=dim, facet_budget=budget))
+            for comp_id, pairs in self.cycle_pairs.items()
+        )
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        """Velocity polytope of a strongly connected quotient; empty when it has no cycle."""
+        count = len(self.sccs)
+        if count > 1:
+            raise NotStronglyConnectedError(
+                f"quotient graph has {count} strongly connected components; use velocity_set"
+            )
+        return self.components[0][1] if self.components else Polytope(self.graph.dim, ())
+
+    @cached_property
+    def report(self) -> ConnectivityReport:
+        """The connectivity verdict.
+
+        ``cone_full`` asks whether the cycle displacements positively span
+        R^d, i.e. whether the origin is interior to their hull.  Scaling each
+        displacement by 1/length keeps the cone, and the hull of the velocities
+        is the hull of the per-component polytopes' vertices, so those few
+        vertices decide it.
+        """
+        g = self.graph
+        displacements = sorted({d for pairs in self.cycle_pairs.values() for d, _ in pairs})
+        rank, index = lattice_rank_and_index(displacements, g.dim)
+        corners = sorted({v for _, poly in self.components for v in poly.vertices})
+        cone_full = bool(corners) and origin_in_hull_interior(corners, g.dim)
+        if len(self.sccs) > 1:
+            verdict = VERDICT_DISCONNECTED
+        elif rank == g.dim and index == 1 and cone_full:
+            verdict = VERDICT_STRONG
+        else:
+            verdict = VERDICT_QUOTIENT
+        return ConnectivityReport(
+            scc_count=len(self.sccs),
+            scc_membership=self.scc_membership,
+            cycle_lattice_rank=rank,
+            lattice_index=index,
+            cone_full=cone_full,
+            verdict=verdict,
+        )
+
+
 def connectivity_report(
     g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> ConnectivityReport:
-    sccs = strongly_connected_components(g)
-    membership = [0] * len(g.vertices)
-    for comp_id, comp in enumerate(sccs):
-        for v in comp:
-            membership[v] = comp_id
-    displacements = sorted({path_displacement(g, c.edges) for c in enumerate_cycles(g, max_cycles)})
-    rank, index = lattice_rank_and_index(displacements, g.dim)
-    cone_full = bool(displacements) and origin_in_hull_interior(displacements, g.dim)
-    if len(sccs) > 1:
-        verdict = VERDICT_DISCONNECTED
-    elif rank == g.dim and index == 1 and cone_full:
-        verdict = VERDICT_STRONG
-    else:
-        verdict = VERDICT_QUOTIENT
-    return ConnectivityReport(
-        scc_count=len(sccs),
-        scc_membership=tuple(membership),
-        cycle_lattice_rank=rank,
-        lattice_index=index,
-        cone_full=cone_full,
-        verdict=verdict,
-    )
+    return GraphAnalysis(g, max_cycles=max_cycles).report
 
 
 def velocity_polytope(
@@ -72,32 +169,7 @@ def velocity_polytope(
     A graph without cycles yields the empty polytope: no infinite trajectory
     exists at all, so there is no velocity to speak of.
     """
-    sccs = strongly_connected_components(g)
-    if len(sccs) > 1:
-        raise NotStronglyConnectedError(
-            f"quotient graph has {len(sccs)} strongly connected components; use velocity_set"
-        )
-    vels = basic_velocities(g, max_cycles)
-    return convex_hull(vels, dim=g.dim, facet_budget=facet_budget)
-
-
-@dataclass(frozen=True)
-class VelocitySet:
-    """Velocity polytopes per strongly connected component; their union is the full set."""
-
-    dim: int
-    components: tuple[tuple[int, Polytope], ...]
-
-
-def _induced_subgraph(g: DisplacementGraph, comp: tuple[int, ...]) -> DisplacementGraph:
-    remap = {v: i for i, v in enumerate(comp)}
-    vertices = tuple(g.vertices[v] for v in comp)
-    edges = tuple(
-        Edge(remap[e.source], remap[e.target], e.displacement)
-        for e in g.edges
-        if e.source in remap and e.target in remap
-    )
-    return DisplacementGraph(g.dim, vertices, edges)
+    return GraphAnalysis(g, max_cycles=max_cycles, facet_budget=facet_budget).polytope
 
 
 def velocity_set(
@@ -107,10 +179,5 @@ def velocity_set(
     facet_budget: int = DEFAULT_FACET_BUDGET,
 ) -> VelocitySet:
     """Per-component velocity polytopes; components without cycles are omitted."""
-    components: list[tuple[int, Polytope]] = []
-    for comp_id, comp in enumerate(strongly_connected_components(g)):
-        sub = _induced_subgraph(g, comp)
-        vels = basic_velocities(sub, max_cycles)
-        if vels:
-            components.append((comp_id, convex_hull(vels, dim=g.dim, facet_budget=facet_budget)))
-    return VelocitySet(g.dim, tuple(components))
+    analysis = GraphAnalysis(g, max_cycles=max_cycles, facet_budget=facet_budget)
+    return VelocitySet(g.dim, analysis.components)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from helpers import HONEYCOMB_DGF, PM2_DGF, SQUARE_DGF
 from velo import parse_dgf
+
+# the same examples on every run, no example database, no per-example deadline
+settings.register_profile("velo", derandomize=True, database=None, deadline=None, max_examples=150)
+settings.load_profile("velo")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
+import pytest
+
+from helpers import HONEYCOMB_DGF
 from velo import parse_dgf, polytope_to_dict, velocity_polytope
 from velo.cli import main
 
@@ -282,6 +286,78 @@ def test_velo_budget_env(fixture_files, capsys, monkeypatch):
     monkeypatch.setenv("VELO_BUDGET", "banana")
     code, _, err = run_cli(["cycles", fixture_files["honeycomb"]], capsys)
     assert code == 1
+
+
+# two disjoint honeycomb cells: two components of 9 simple cycles each
+TWO_HONEYCOMBS_DGF = HONEYCOMB_DGF + """\
+vertex C
+vertex D
+edge C D 0 0
+edge C D 0 1
+edge C D -1 0
+edge D C 0 0
+edge D C 0 -1
+edge D C 1 0
+"""
+
+
+@pytest.fixture()
+def two_honeycombs(tmp_path):
+    path = tmp_path / "two_honeycombs.dgf"
+    path.write_text(TWO_HONEYCOMBS_DGF)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["polytope"], ["report"], ["report", "--json"]])
+def test_cycle_budget_counts_the_whole_graph(two_honeycombs, command, capsys, monkeypatch):
+    monkeypatch.setenv("VELO_BUDGET", "12")  # each component fits, the 18 cycles do not
+    code, out, err = run_cli([command[0], two_honeycombs, *command[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cycle budget" in err
+
+
+def test_one_enumeration_per_graph_argument(fixture_files, two_honeycombs, capsys, monkeypatch):
+    import velo.cycles
+
+    original = velo.cycles.enumerate_cycles
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "velo" and getattr(module, "enumerate_cycles", None) is original:
+            monkeypatch.setattr(module, "enumerate_cycles", counting)
+
+    hc = fixture_files["honeycomb"]
+    # expected calls and exit code; on the two-component graph, anisotropy and
+    # the polytope of a morphism's source stop at the component count, before
+    # any cycle is needed
+    cases = [
+        (["cycles", hc], 1, 0),
+        (["polytope", hc], 1, 0),
+        (["report", hc], 1, 0),
+        (["report", hc, "--json"], 1, 0),
+        (["norm", hc, "1", "0"], 1, 0),
+        (["simulate", hc, "--weights", "1/2,1/2", "--kmax", "8"], 1, 0),
+        (["anisotropy", hc], 1, 0),
+        (["check-morphism", hc, fixture_files["square"]], 2, 0),
+        (["cycles", two_honeycombs], 1, 0),
+        (["polytope", two_honeycombs], 1, 0),
+        (["report", two_honeycombs], 1, 0),
+        (["report", two_honeycombs, "--json"], 1, 0),
+        (["norm", two_honeycombs, "1", "0"], 1, 3),
+        (["simulate", two_honeycombs, "--weights", "1", "--kmax", "8"], 1, 3),
+        (["anisotropy", two_honeycombs], 0, 3),
+        (["check-morphism", two_honeycombs, hc], 0, 3),
+    ]
+    for args, expected_calls, expected_code in cases:
+        calls.clear()
+        code, _, _ = run_cli(args, capsys)
+        assert (len(calls), code) == (expected_calls, expected_code), args
+        assert len({id(g) for g in calls}) == len(calls), args  # one per graph argument
 
 
 def test_usage_error_exit_code(capsys):

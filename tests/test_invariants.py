@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import CROSS_VERTICES, HEX_VERTICES, random_strongly_connected_graph
+from oracles import brute_cycles
 from velo import (
     Edge,
+    GraphAnalysis,
     NotStronglyConnectedError,
     VERDICT_DISCONNECTED,
     VERDICT_QUOTIENT,
@@ -15,7 +19,11 @@ from velo import (
     DisplacementGraph,
     bfs_distance,
     connectivity_report,
+    convex_hull,
+    lattice_rank_and_index,
+    origin_in_hull_interior,
     parse_dgf,
+    strongly_connected_components,
     unroll,
     velocity_polytope,
     velocity_set,
@@ -176,3 +184,68 @@ def test_functoriality_adding_edges_grows_polytope():
         )
         bigger = DisplacementGraph(g.dim, g.vertices, g.edges + extra)
         assert contains_polytope(velocity_polytope(bigger), velocity_polytope(g))
+
+
+# ---------------------------------------------------------------------------
+# the analysis against brute-force cycles
+
+
+@st.composite
+def small_graphs(draw):
+    """At most 4 vertices and 8 edges in d = 1..3; any component structure, cycles or none.
+
+    Half the draws are undirected (each edge paired with its reverse), which
+    makes strongly connected quotients and full cones common.
+    """
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edge = st.builds(Edge, vertex, vertex, st.tuples(*[st.integers(-2, 2)] * dim))
+    if draw(st.booleans()):
+        half = draw(st.lists(edge, max_size=4))
+        edges = half + [Edge(e.target, e.source, tuple(-x for x in e.displacement)) for e in half]
+    else:
+        edges = draw(st.lists(edge, max_size=8))
+    return DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+
+@given(small_graphs())
+def test_analysis_matches_brute_force_cycles(g):
+    cycles = brute_cycles(g)
+    sccs = strongly_connected_components(g)
+    scc_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+
+    def displacement(c):
+        return tuple(sum(g.edges[e].displacement[j] for e in c) for j in range(g.dim))
+
+    def velocity(c):
+        return tuple(F(x, len(c)) for x in displacement(c))
+
+    # the connectivity rule over every distinct cycle displacement
+    displacements = sorted({displacement(c) for c in cycles})
+    rank, index = lattice_rank_and_index(displacements, g.dim)
+    cone_full = bool(displacements) and origin_in_hull_interior(displacements, g.dim)
+    if len(sccs) > 1:
+        verdict = VERDICT_DISCONNECTED
+    elif rank == g.dim and index == 1 and cone_full:
+        verdict = VERDICT_STRONG
+    else:
+        verdict = VERDICT_QUOTIENT
+
+    an = GraphAnalysis(g)
+    assert [c.edges for c in an.cycles] == cycles
+    rep = an.report
+    assert (rep.cycle_lattice_rank, rep.lattice_index, rep.cone_full, rep.verdict) == (
+        rank, index, cone_full, verdict
+    )
+    assert an.velocities == tuple(sorted({velocity(c) for c in cycles}))
+    per_scc: dict[int, list] = {}
+    for c in cycles:
+        per_scc.setdefault(scc_of[g.edges[c[0]].source], []).append(velocity(c))
+    expected = tuple(
+        (comp_id, convex_hull(vels, dim=g.dim)) for comp_id, vels in sorted(per_scc.items())
+    )
+    assert an.components == expected
+    assert velocity_set(g).components == expected
+    if len(sccs) == 1:
+        assert velocity_polytope(g) == convex_hull([velocity(c) for c in cycles], dim=g.dim)
