@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import BudgetError
@@ -25,7 +26,7 @@ def _check_path(g: DisplacementGraph, path: Sequence[int]) -> None:
     for eid in path:
         if not (0 <= eid < len(g.edges)):
             raise ValueError(f"edge id {eid} out of range")
-    for a, b in zip(path, path[1:]):
+    for a, b in zip(path, islice(path, 1, None)):
         if g.edges[a].target != g.edges[b].source:
             raise ValueError(f"edges {a} and {b} do not compose")
 

@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .cycles import Cycle, Path, is_cycle, path_displacement
@@ -121,14 +122,32 @@ def schedule(
                 f"scheduled prefix would exceed the budget of {budget} edges at stage {k}"
             )
         stage_repeats.append(repeats)
-    edges: list[int] = []
-    for k, repeats in enumerate(stage_repeats, start=1):
+    blocks: list[list[int]] = []
+    for repeats in stage_repeats:
         block: list[int] = []
         for i, ((cycle, _), count) in enumerate(zip(plan.cycles, repeats)):
             block.extend(cycle.edges * count)
             block.extend(plan.connectors[i])
-        edges.extend(block * k)
-    return tuple(edges)
+        blocks.append(block)
+    # one tuple of exactly `total` slots, filled straight from the stage blocks
+    return tuple(_Sized(total, chain.from_iterable(
+        block for k, block in enumerate(blocks, start=1) for _ in range(k)
+    )))
+
+
+class _Sized:
+    """An iterator with a known length, so that tuple() allocates its result
+    once; from a bare iterator it grows the result by repeated realloc, whose
+    peak memory depends on what the allocator did before."""
+
+    def __init__(self, length: int, items):
+        self._length, self._items = length, items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return self._items
 
 
 def convergence_check(g: DisplacementGraph, prefix: Sequence[int], p: Polytope) -> Fraction:

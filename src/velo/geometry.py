@@ -1,25 +1,24 @@
 """Exact rational polyhedral computation.
 
 Polytopes live in V-representation (extreme points only, lexicographically
-sorted) with an optional facet representation for full-dimensional cases.
-Everything is computed over fractions.Fraction; there is no floating point
-anywhere in this module.
+sorted); a full-dimensional polytope also carries its facets.  One exact
+beneath-beyond hull serves every dimension, over integers scaled from the
+rational input, and one fraction-free elimination serves all of the linear
+algebra.  Membership, gauge and distance are exact linear programs.  There is
+no floating point anywhere in this module.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .linprog import solve_lp, solve_standard_lp
+from .linprog import solve_standard_lp
 
 QVec = tuple[Fraction, ...]
-
-DEFAULT_FACET_BUDGET = 10_000
-MAX_FACET_DIM = 6
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -47,11 +46,11 @@ class Anisotropy(NamedTuple):
 
 @dataclass(frozen=True)
 class Polytope:
-    """Rational polytope: sorted extreme points, optional facet inequalities.
+    """Rational polytope: sorted extreme points, and facet inequalities when full-dimensional.
 
-    An empty vertex tuple encodes the empty set.  Facets are present only when
-    the polytope is full-dimensional and facet enumeration stayed within its
-    budget; points then lie in the polytope iff they satisfy every facet.
+    An empty vertex tuple encodes the empty set.  ``convex_hull`` gives every
+    full-dimensional polytope its facets, sorted, and leaves them ``None``
+    otherwise; points lie in the polytope iff they satisfy every facet.
     """
 
     dim: int
@@ -64,27 +63,45 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
+# exact linear algebra
 
 
-def _gauss_rank(rows: list[list[Fraction]], width: int) -> int:
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows scaled to integers by the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
+def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Returns ``(reduced, pivots, last)``.  Row i < len(pivots) of ``reduced``
+    holds ``last``, the last pivot, in column pivots[i] and zero in every
+    other pivot column; the rows past the rank are zero.  Every entry is a
+    minor of the input, so each division is exact.  A square matrix whose
+    leading minors are nonzero is reduced without row swaps, and ``last`` is
+    then its determinant.
+    """
     mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        piv = mat[rank][col]
-        mat[rank] = [v / piv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
+    pivots: list[int] = []
+    last = 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        if r == len(mat):
             break
-    return rank
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        top = mat[r]
+        piv = top[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(piv * a - f * b) // last for a, b in zip(row, top)]
+        pivots.append(c)
+        last = piv
+    return mat, pivots, last
 
 
 def affine_dimension(points: Sequence[QVec]) -> int:
@@ -92,186 +109,99 @@ def affine_dimension(points: Sequence[QVec]) -> int:
     if not points:
         return -1
     base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    if not rows:
-        return 0
-    return _gauss_rank(rows, len(base))
-
-
-def _nullspace_direction(rows: list[list[Fraction]], width: int) -> QVec | None:
-    """Nonzero solution of rows.a = 0 when the nullspace is one-dimensional."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        mat[r] = [v / piv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    if r != width - 1:
-        return None
-    pivot_set = set(pivots)
-    free = next(c for c in range(width) if c not in pivot_set)
-    a = [_ZERO] * width
-    a[free] = _ONE
-    for row_i, c in enumerate(pivots):
-        a[c] = -mat[row_i][free]
-    return tuple(a)
-
-
-def _matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    d = len(rows)
-    aug = [[Fraction(v) for v in row] + [_ONE if i == j else _ZERO for j in range(d)]
-           for i, row in enumerate(rows)]
-    for col in range(d):
-        pivot = next((i for i in range(col, d) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[d:] for row in aug]
-
-
-def _determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    d = len(mat)
-    det = _ONE
-    for col in range(d):
-        pivot = next((i for i in range(col, d) if mat[i][col] != 0), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        piv = mat[col][col]
-        for i in range(col + 1, d):
-            if mat[i][col] != 0:
-                f = mat[i][col] / piv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return det
+    rows, _ = _integer_rows([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    return len(_reduce(rows)[1])
 
 
 # ---------------------------------------------------------------------------
 # convex hulls
 
 
-def _normalize_facet(normal: Sequence[Fraction], offset: Fraction) -> Facet:
-    denom_lcm = 1
-    for v in list(normal) + [offset]:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in normal]
-    b = int(offset * denom_lcm)
-    g = 0
-    for v in ints + [b]:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        b //= g
-    return Facet(tuple(ints), b)
+def _primitive(normal: Sequence[int], offset: int) -> Facet:
+    """The inequality normal.x <= offset divided by the gcd of its coefficients."""
+    g = math.gcd(*normal, offset)
+    return Facet(tuple(c // g for c in normal), offset // g)
 
 
-def _cross(o: QVec, a: QVec, b: QVec) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _hull(points: Sequence[tuple[int, ...]]) -> tuple[list[int], set[Facet]]:
+    """Beneath-beyond hull of distinct integer points that span Z^r affinely.
 
+    Returns the indices of the extreme points and the facet inequalities.
+    The boundary is kept as simplices, keyed by their sorted point indices: a
+    point beyond some of them replaces them by the cones from the point over
+    their horizon ridges, the ridges that only one of them has.  Normals are
+    oriented away from the first simplex's centroid, which stays interior.
+    Coplanar simplices share their primitive inequality, which merges them
+    into one facet; an extreme point is one whose facet normals span R^r.
+    """
+    n, r = len(points), len(points[0])
+    total = [sum(col) for col in zip(*points)]
 
-def _hull_ring_2d(points: list[QVec]) -> list[QVec]:
-    """Extreme points in counterclockwise order, starting at the lex-least one."""
-    pts = sorted(set(points))
-    if len(pts) <= 1:
-        return pts
-    lower: list[QVec] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[QVec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    def spread(i: int) -> int:  # n^2 times the squared distance from the centroid
+        return sum((n * x - t) ** 2 for x, t in zip(points[i], total))
 
-
-def _is_in_hull(point: QVec, others: Sequence[QVec]) -> bool:
-    """Exact test: is the point a convex combination of the given points?"""
-    if not others:
-        return False
-    d = len(point)
-    rows = [[v[j] for v in others] for j in range(d)]
-    rows.append([_ONE] * len(others))
-    rhs = list(point) + [_ONE]
-    cost = [_ZERO] * len(others)
-    return solve_standard_lp(cost, rows, rhs).status == "optimal"
-
-
-def _facets_full_dim(vertices: list[QVec], dim: int, budget: int) -> tuple[Facet, ...] | None:
-    if dim == 1:
-        lo, hi = vertices[0][0], vertices[-1][0]
-        return tuple(sorted([_normalize_facet((_ONE,), hi), _normalize_facet((-_ONE,), -lo)]))
-    if dim == 2:
-        ring = _hull_ring_2d(vertices)
-        facets = set()
-        for i, v1 in enumerate(ring):
-            v2 = ring[(i + 1) % len(ring)]
-            normal = (v2[1] - v1[1], -(v2[0] - v1[0]))
-            facets.add(_normalize_facet(normal, normal[0] * v1[0] + normal[1] * v1[1]))
-        return tuple(sorted(facets))
-    if dim > MAX_FACET_DIM or math.comb(len(vertices), dim) > budget:
-        return None
-    facets = set()
-    for subset in combinations(vertices, dim):
-        base = subset[0]
-        rows = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
-        normal = _nullspace_direction(rows, dim)
-        if normal is None:
-            continue
-        offset = sum(n * c for n, c in zip(normal, base))
-        above = below = False
-        for p in vertices:
-            side = sum(n * c for n, c in zip(normal, p))
-            if side > offset:
-                above = True
-            elif side < offset:
-                below = True
-            if above and below:
+    # Far points first: they tend to be extreme, and an interior point then
+    # costs one scan of the boundary.
+    order = sorted(range(n), key=lambda i: -spread(i))
+    simplex = [order[0]]
+    for i in order[1:]:
+        base = points[simplex[0]]
+        rows = [[a - b for a, b in zip(points[j], base)] for j in simplex[1:] + [i]]
+        if len(_reduce(rows)[1]) == len(simplex):
+            simplex.append(i)
+            if len(simplex) == r + 1:
                 break
-        if above and below:
+    inner = [sum(col) for col in zip(*(points[i] for i in simplex))]
+
+    def facet(key: tuple[int, ...]) -> Facet:
+        base = points[key[0]]
+        reduced, pivots, last = _reduce(
+            [[a - b for a, b in zip(points[i], base)] for i in key[1:]]
+        )
+        free = next(c for c in range(r) if c not in pivots)
+        normal = [0] * r
+        normal[free] = last
+        for row, c in zip(reduced, pivots):
+            normal[c] = -row[free]
+        offset = sum(a * x for a, x in zip(normal, base))
+        if sum(a * x for a, x in zip(normal, inner)) > (r + 1) * offset:
+            normal, offset = [-a for a in normal], -offset
+        return _primitive(normal, offset)
+
+    simplex.sort()
+    boundary = {
+        key: facet(key) for key in (tuple(simplex[:j] + simplex[j + 1:]) for j in range(r + 1))
+    }
+    for i in order:
+        p = points[i]
+        visible = [
+            key for key, f in boundary.items()
+            if sum(a * x for a, x in zip(f.normal, p)) > f.offset
+        ]
+        if not visible:
             continue
-        if above:
-            normal = tuple(-n for n in normal)
-            offset = -offset
-        facets.add(_normalize_facet(normal, offset))
-    return tuple(sorted(facets))
+        ridges = Counter(key[:j] + key[j + 1:] for key in visible for j in range(r))
+        for key in visible:
+            del boundary[key]
+        for ridge, count in ridges.items():
+            if count == 1:
+                key = tuple(sorted(ridge + (i,)))
+                boundary[key] = facet(key)
+    normals: dict[int, set[tuple[int, ...]]] = {}
+    for key, f in boundary.items():
+        for i in key:
+            normals.setdefault(i, set()).add(f.normal)
+    extreme = [i for i, ns in normals.items() if len(_reduce(list(ns))[1]) == r]
+    return extreme, set(boundary.values())
 
 
-def convex_hull(
-    points: Iterable[Sequence],
-    *,
-    dim: int | None = None,
-    facet_budget: int = DEFAULT_FACET_BUDGET,
-) -> Polytope:
-    """Exact convex hull: deduplicated extreme points plus facets when cheap.
+def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polytope:
+    """Exact convex hull: deduplicated extreme points, plus facets when full-dimensional.
 
-    ``dim`` is required for an empty input and validated otherwise.  Facets
-    are produced for full-dimensional polytopes up to dimension 6, provided
-    the candidate-subset count stays within ``facet_budget``; otherwise the
-    V-representation is returned alone.
+    ``dim`` is required for an empty input and validated otherwise.  The
+    points are scaled to integers by the lcm of their denominators and
+    projected onto the pivot coordinates of their affine hull, where one
+    beneath-beyond pass finds the extreme points and the facets.
     """
     qpoints = [as_qvec(p) for p in points]
     if qpoints:
@@ -290,30 +220,54 @@ def convex_hull(
     unique = sorted(set(qpoints))
     if len(unique) == 1:
         return Polytope(dim, (unique[0],))
-    if dim == 1:
-        vertices = sorted({unique[0], unique[-1]})
-    elif dim == 2:
-        vertices = sorted(_hull_ring_2d(unique))
-    else:
-        vertices = [
-            p for i, p in enumerate(unique)
-            if not _is_in_hull(p, unique[:i] + unique[i + 1:])
-        ]
-    facets = None
-    if affine_dimension(vertices) == dim:
-        facets = _facets_full_dim(vertices, dim, facet_budget)
-    return Polytope(dim, tuple(vertices), facets)
+    ints, scale = _integer_rows(unique)
+    _, axes, _ = _reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]])
+    extreme, facets = _hull([tuple(p[c] for c in axes) for p in ints])
+    vertices = tuple(unique[i] for i in sorted(extreme))
+    if len(axes) < dim:
+        return Polytope(dim, vertices)
+    # a.(scale x) <= b is (scale a).x <= b
+    rational = sorted(_primitive([scale * a for a in f.normal], f.offset) for f in facets)
+    return Polytope(dim, vertices, tuple(rational))
 
 
 def hull_ring_2d(p: Polytope) -> tuple[QVec, ...]:
-    """Vertices of a 2-d polytope in counterclockwise boundary order."""
+    """Vertices of a 2-d polytope in counterclockwise boundary order, from the lex-least one.
+
+    A full-dimensional polygon is walked facet by facet: each facet runs
+    counterclockwise along its normal turned by a quarter turn.
+    """
     if p.dim != 2:
         raise ValueError("boundary rings are only defined for 2-d polytopes")
-    return tuple(_hull_ring_2d(list(p.vertices)))
+    if p.facets is None:
+        return p.vertices
+    successor = {}
+    for (a, b), offset in p.facets:
+        start, end = sorted(
+            (v for v in p.vertices if a * v[0] + b * v[1] == offset),
+            key=lambda v: a * v[1] - b * v[0],
+        )
+        successor[start] = end
+    ring = [p.vertices[0]]
+    while len(ring) < len(p.vertices):
+        ring.append(successor[ring[-1]])
+    return tuple(ring)
 
 
 # ---------------------------------------------------------------------------
 # membership, gauge, distance
+
+
+def _is_in_hull(point: QVec, others: Sequence[QVec]) -> bool:
+    """Exact test: is the point a convex combination of the given points?"""
+    if not others:
+        return False
+    d = len(point)
+    rows = [[v[j] for v in others] for j in range(d)]
+    rows.append([_ONE] * len(others))
+    rhs = list(point) + [_ONE]
+    cost = [_ZERO] * len(others)
+    return solve_standard_lp(cost, rows, rhs).status == "optimal"
 
 
 def contains_point(p: Polytope, x: Sequence) -> bool:
@@ -399,45 +353,24 @@ def is_symmetric(p: Polytope) -> bool:
     return vs == {tuple(-c for c in v) for v in vs}
 
 
+def _holds_origin_inside(p: Polytope) -> bool:
+    return p.facets is not None and all(f.offset > 0 for f in p.facets)
+
+
 def origin_in_hull_interior(points: Sequence[Sequence], dim: int) -> bool:
     """Is the origin an interior point of the convex hull of the points?
 
-    Exact criterion: the only functional a in [-1,1]^dim with a.s <= 0 for all
-    points s is a = 0.  Each coordinate direction is probed by two LPs; any
-    nonzero optimum certifies a supporting or separating hyperplane.
+    Exactly when the hull is full-dimensional and the origin lies strictly
+    inside every facet, that is, every facet offset is positive.
     """
-    pts = [as_qvec(p, dim) for p in points]
-    if not pts:
-        return False
-    nvars = 2 * dim  # a = pos - neg, both halves >= 0
-    ub_rows: list[list[Fraction]] = []
-    ub_rhs: list[Fraction] = []
-    for s in pts:
-        ub_rows.append([s[j] for j in range(dim)] + [-s[j] for j in range(dim)])
-        ub_rhs.append(_ZERO)
-    for j in range(nvars):
-        row = [_ZERO] * nvars
-        row[j] = _ONE
-        ub_rows.append(row)
-        ub_rhs.append(_ONE)
-    for i in range(dim):
-        for sense in (1, -1):
-            cost = [_ZERO] * nvars
-            cost[i] = Fraction(-sense)
-            cost[dim + i] = Fraction(sense)
-            sol = solve_lp(cost, ub=(ub_rows, ub_rhs))
-            if sol.status != "optimal":
-                raise AssertionError("interior-test LP is always feasible and bounded")
-            if sol.value < 0:
-                return False
-    return True
+    return _holds_origin_inside(convex_hull(points, dim=dim))
 
 
 def dimensionality(p: Polytope) -> tuple[int, bool]:
     """Affine dimension of the polytope and whether the origin is interior."""
     if p.is_empty:
         raise ValueError("dimensionality of the empty polytope is undefined")
-    return affine_dimension(p.vertices), origin_in_hull_interior(p.vertices, p.dim)
+    return affine_dimension(p.vertices), _holds_origin_inside(p)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +385,13 @@ def _check_metric(metric: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
         for j in range(i + 1, dim):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("metric must be symmetric")
+    # Sylvester's criterion: every leading minor is positive.  While the
+    # smaller ones are, eliminating the k x k block swaps no rows, so its
+    # last pivot is the k-th leading minor.
+    ints, _ = _integer_rows(rows)
     for k in range(1, dim + 1):
-        minor = [row[:k] for row in rows[:k]]
-        if _determinant(minor) <= 0:
+        _, pivots, last = _reduce([row[:k] for row in ints[:k]])
+        if len(pivots) < k or last <= 0:
             raise ValueError("metric must be positive definite")
     return rows
 
@@ -477,17 +414,20 @@ def anisotropy(p: Polytope, metric: Sequence[Sequence] | None = None) -> Anisotr
     m = _check_metric(metric, d) if metric is not None else [
         [_ONE if i == j else _ZERO for j in range(d)] for i in range(d)
     ]
-    minv = _matrix_inverse(m)
     circum = max(
         sum(v[i] * m[i][j] * v[j] for i in range(d) for j in range(d)) for v in p.vertices
     )
-    inrad = None
-    for f in p.facets:
-        quad = sum(f.normal[i] * minv[i][j] * f.normal[j] for i in range(d) for j in range(d))
-        val = Fraction(f.offset * f.offset) / quad
-        if inrad is None or val < inrad:
-            inrad = val
-    assert inrad is not None
+    # With M = ints / scale, a'M^-1 a = scale * a.x for ints.x = a; one
+    # elimination of [ints | every normal] leaves det * x in the columns.
+    ints, scale = _integer_rows(m)
+    reduced, _, det = _reduce([row + [f.normal[i] for f in p.facets] for i, row in enumerate(ints)])
+    inrad = min(
+        Fraction(
+            f.offset * f.offset * det,
+            scale * sum(a * row[d + k] for a, row in zip(f.normal, reduced)),
+        )
+        for k, f in enumerate(p.facets)
+    )
     return Anisotropy(inrad, circum, inrad == circum)
 
 
@@ -515,23 +455,22 @@ def polytope_to_dict(p: Polytope) -> dict:
     return out
 
 
-def polytope_from_dict(data: dict, *, facet_budget: int = DEFAULT_FACET_BUDGET) -> Polytope:
+def polytope_from_dict(data: dict) -> Polytope:
     """Rebuild a polytope from its JSON form; vertices are the authoritative payload.
 
-    Facets are recomputed rather than trusted, so a canonical round trip is
-    guaranteed whenever facet enumeration stays within budget.
+    Facets are recomputed rather than trusted, so the round trip is canonical.
     """
     try:
         dim = int(data["dim"])
         vertices = [tuple(parse_rational(c) for c in v) for v in data["vertices"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polytope JSON: {exc}") from None
-    return convex_hull(vertices, dim=dim, facet_budget=facet_budget)
+    return convex_hull(vertices, dim=dim)
 
 
 def polytope_to_json(p: Polytope) -> str:
     return json.dumps(polytope_to_dict(p), indent=2) + "\n"
 
 
-def polytope_from_json(text: str, *, facet_budget: int = DEFAULT_FACET_BUDGET) -> Polytope:
-    return polytope_from_dict(json.loads(text), facet_budget=facet_budget)
+def polytope_from_json(text: str) -> Polytope:
+    return polytope_from_dict(json.loads(text))

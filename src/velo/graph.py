@@ -316,13 +316,6 @@ class UnrolledPatch:
         for nid in range(self.vertex_count):
             yield self.node_at(nid)
 
-    def dump(self) -> str:
-        """Debug listing, one line per node: ``NAME x1 ... xd``."""
-        lines = []
-        for v, coords in self.nodes():
-            lines.append(self.graph.vertices[v] + " " + " ".join(str(c) for c in coords))
-        return "\n".join(lines) + "\n"
-
 
 def unroll(
     g: DisplacementGraph, radius: int, *, budget: int = DEFAULT_PATCH_BUDGET

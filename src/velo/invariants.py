@@ -7,7 +7,7 @@ from functools import cached_property
 
 from .cycles import DEFAULT_MAX_CYCLES, Cycle, _displacement_sum, _velocities, enumerate_cycles
 from .errors import NotStronglyConnectedError
-from .geometry import DEFAULT_FACET_BUDGET, Polytope, convex_hull, origin_in_hull_interior
+from .geometry import Polytope, convex_hull, origin_in_hull_interior
 from .graph import DisplacementGraph, IntVec, strongly_connected_components
 from .intlattice import lattice_rank_and_index
 
@@ -54,16 +54,9 @@ class GraphAnalysis:
     the cycles of the whole graph.
     """
 
-    def __init__(
-        self,
-        g: DisplacementGraph,
-        *,
-        max_cycles: int = DEFAULT_MAX_CYCLES,
-        facet_budget: int = DEFAULT_FACET_BUDGET,
-    ) -> None:
+    def __init__(self, g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> None:
         self.graph = g
         self.max_cycles = max_cycles
-        self.facet_budget = facet_budget
 
     @cached_property
     def sccs(self) -> tuple[tuple[int, ...], ...]:
@@ -105,9 +98,8 @@ class GraphAnalysis:
     @cached_property
     def components(self) -> tuple[tuple[int, Polytope], ...]:
         """(component id, velocity polytope) for every component that has a cycle."""
-        dim, budget = self.graph.dim, self.facet_budget
         return tuple(
-            (comp_id, convex_hull(_velocities(pairs), dim=dim, facet_budget=budget))
+            (comp_id, convex_hull(_velocities(pairs), dim=self.graph.dim))
             for comp_id, pairs in self.cycle_pairs.items()
         )
 
@@ -158,26 +150,15 @@ def connectivity_report(
     return GraphAnalysis(g, max_cycles=max_cycles).report
 
 
-def velocity_polytope(
-    g: DisplacementGraph,
-    *,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    facet_budget: int = DEFAULT_FACET_BUDGET,
-) -> Polytope:
+def velocity_polytope(g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> Polytope:
     """Convex hull of the basic velocities of a strongly connected quotient.
 
     A graph without cycles yields the empty polytope: no infinite trajectory
     exists at all, so there is no velocity to speak of.
     """
-    return GraphAnalysis(g, max_cycles=max_cycles, facet_budget=facet_budget).polytope
+    return GraphAnalysis(g, max_cycles=max_cycles).polytope
 
 
-def velocity_set(
-    g: DisplacementGraph,
-    *,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    facet_budget: int = DEFAULT_FACET_BUDGET,
-) -> VelocitySet:
+def velocity_set(g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> VelocitySet:
     """Per-component velocity polytopes; components without cycles are omitted."""
-    analysis = GraphAnalysis(g, max_cycles=max_cycles, facet_budget=facet_budget)
-    return VelocitySet(g.dim, analysis.components)
+    return VelocitySet(g.dim, GraphAnalysis(g, max_cycles=max_cycles).components)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .cycles import DEFAULT_MAX_CYCLES
-from .geometry import DEFAULT_FACET_BUDGET, Polytope, contains_polytope, convex_hull
+from .geometry import Polytope, contains_polytope, convex_hull
 from .graph import DisplacementGraph, Edge
 from .invariants import velocity_polytope
 
@@ -33,15 +33,10 @@ def realize(p: Polytope) -> DisplacementGraph:
     return DisplacementGraph(p.dim, vertices, tuple(edges))
 
 
-def roundtrip_check(
-    p: Polytope,
-    *,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    facet_budget: int = DEFAULT_FACET_BUDGET,
-) -> bool:
+def roundtrip_check(p: Polytope, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> bool:
     """True iff the realized graph's velocity polytope equals the input as a set."""
     if p.is_empty:
         raise ValueError("cannot realize the empty polytope")
-    hull = convex_hull(p.vertices, dim=p.dim, facet_budget=facet_budget)
-    back = velocity_polytope(realize(p), max_cycles=max_cycles, facet_budget=facet_budget)
+    hull = convex_hull(p.vertices, dim=p.dim)
+    back = velocity_polytope(realize(p), max_cycles=max_cycles)
     return contains_polytope(back, hull) and contains_polytope(hull, back)

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to validate the production algorithms.
 
 Nothing here shares code paths with the library: cycles come from plain DFS,
-membership and gauge values come from enumerating small vertex subsets and
-solving exact linear systems, never from the simplex solver.
+membership, gauge values and facets come from enumerating small point subsets
+and solving exact linear systems, never from the simplex solver or the hull.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -104,3 +105,51 @@ def gauge_caratheodory(
                 if best is None or value < best:
                     best = value
     return best
+
+
+def _coprime(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], int]:
+    scale = 1
+    for v in list(normal) + [offset]:
+        scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    ints = [int(v * scale) for v in list(normal) + [offset]]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in ints[:-1]), ints[-1] // g
+
+
+def facets_brute(
+    points: Sequence[Sequence[Fraction]],
+) -> list[tuple[tuple[int, ...], int]] | None:
+    """Facets a.x <= b of the hull as coprime integers, sorted; None unless full-dimensional.
+
+    Every d-subset of the points that spans a hyperplane is a candidate, its
+    normal solved with one coordinate fixed to 1; it is a facet when all the
+    points lie on one side.  A hyperplane holding every point, or no spanned
+    hyperplane at all, means the points are not full-dimensional.
+    """
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    d = len(pts[0])
+    found: set[tuple[tuple[int, ...], int]] = set()
+    for subset in combinations(pts, d):
+        base = subset[0]
+        rows = [[a - b for a, b in zip(p, base)] for p in subset[1:]]
+        rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
+        normal = None
+        for j in range(d):
+            unit = [Fraction(int(i == j)) for i in range(d)]
+            sol = solve_exact(rows + [unit], rhs)
+            if isinstance(sol, list):
+                normal = sol
+                break
+        if normal is None:
+            continue
+        offset = sum((a * c for a, c in zip(normal, base)), Fraction(0))
+        values = [sum((a * c for a, c in zip(normal, p)), Fraction(0)) for p in pts]
+        if all(v == offset for v in values):
+            return None
+        if all(v <= offset for v in values):
+            found.add(_coprime(normal, offset))
+        elif all(v >= offset for v in values):
+            found.add(_coprime([-a for a in normal], -offset))
+    return sorted(found) or None

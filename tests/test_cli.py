@@ -275,6 +275,137 @@ def test_svg_rejects_non_2d(fixture_files, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# pinned output
+
+
+DIAMOND_DGF = """\
+dim 3
+vertex A
+vertex B
+edge A B 0 0 0
+edge A B 1 0 0
+edge A B 0 1 0
+edge A B 0 0 1
+edge B A 0 0 0
+edge B A -1 0 0
+edge B A 0 -1 0
+edge B A 0 0 -1
+"""
+
+CROSS4_DGF = "dim 4\nvertex O\n" + "".join(
+    "edge O O " + " ".join(str(s if j == i else 0) for j in range(4)) + "\n"
+    for i in range(4)
+    for s in (1, -1)
+)
+
+
+def _vecs(text):
+    return [v.split() for v in text.split(";")]
+
+
+DIAMOND_REPORT = {
+    "vertices": ["A", "B"],
+    "edges": 8,
+    "verdict": "StronglyConnectedPeriodic",
+    "scc_count": 1,
+    "cycle_lattice_rank": 3,
+    "lattice_index": 1,
+    "cone_full": True,
+    "cycles": 16,
+    "basic_velocities": _vecs(
+        "-1/2 0 0;-1/2 0 1/2;-1/2 1/2 0;0 -1/2 0;0 -1/2 1/2;0 0 -1/2;0 0 0;"
+        "0 0 1/2;0 1/2 -1/2;0 1/2 0;1/2 -1/2 0;1/2 0 -1/2;1/2 0 0"
+    ),
+    "polytope": {
+        "dim": 3,
+        "vertices": _vecs(
+            "-1/2 0 0;-1/2 0 1/2;-1/2 1/2 0;0 -1/2 0;0 -1/2 1/2;0 0 -1/2;"
+            "0 0 1/2;0 1/2 -1/2;0 1/2 0;1/2 -1/2 0;1/2 0 -1/2;1/2 0 0"
+        ),
+        "facets": [
+            {"a": a, "b": "1"}
+            for a in _vecs(
+                "-2 -2 -2;-2 -2 0;-2 0 -2;-2 0 0;0 -2 -2;0 -2 0;0 0 -2;"
+                "0 0 2;0 2 0;0 2 2;2 0 0;2 0 2;2 2 0;2 2 2"
+            )
+        ],
+    },
+    "anisotropy": {"inradius2": "1/12", "circumradius2": "1/2", "isotropic": False},
+}
+
+HEX_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 480 480">
+<line x1="0" y1="240.00" x2="480" y2="240.00" stroke="#999" stroke-dasharray="4 4"/>
+<line x1="240.00" y1="0" x2="240.00" y2="480" stroke="#999" stroke-dasharray="4 4"/>
+<polygon points="24.00,456.00 240.00,456.00 456.00,240.00 456.00,24.00 240.00,24.00 \
+24.00,240.00" fill="none" stroke="#000" stroke-width="2"/>
+<circle cx="24.00" cy="456.00" r="3" fill="#000"/>
+<text x="30.00" y="450.00" font-size="12">(-1/2, -1/2)</text>
+<circle cx="24.00" cy="240.00" r="3" fill="#000"/>
+<text x="30.00" y="234.00" font-size="12">(-1/2, 0)</text>
+<circle cx="240.00" cy="456.00" r="3" fill="#000"/>
+<text x="246.00" y="450.00" font-size="12">(0, -1/2)</text>
+<circle cx="240.00" cy="24.00" r="3" fill="#000"/>
+<text x="246.00" y="18.00" font-size="12">(0, 1/2)</text>
+<circle cx="456.00" cy="240.00" r="3" fill="#000"/>
+<text x="462.00" y="234.00" font-size="12">(1/2, 0)</text>
+<circle cx="456.00" cy="24.00" r="3" fill="#000"/>
+<text x="462.00" y="18.00" font-size="12">(1/2, 1/2)</text>
+</svg>
+"""
+
+
+def test_pinned_diamond_report_and_metric(tmp_path, capsys):
+    path = tmp_path / "dia.dgf"
+    path.write_text(DIAMOND_DGF)
+    code, out, err = run_cli(["report", str(path), "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(DIAMOND_REPORT, indent=2) + "\n"
+    code, out, err = run_cli(["anisotropy", str(path), "--metric", "2,1,0;1,3,1;0,1,4"], capsys)
+    assert (code, out, err) == (0, "inradius2 1/4\ncircumradius2 3/2\nisotropic false\n", "")
+
+
+def test_pinned_cross_polytope_4d(tmp_path, capsys):
+    path = tmp_path / "cross4.dgf"
+    path.write_text(CROSS4_DGF)
+    code, out, err = run_cli(["polytope", str(path)], capsys)
+    assert (code, err) == (0, "")
+    units = [" ".join(str(s if j == i else 0) for j in range(4)) for i in range(4) for s in (1, -1)]
+    signs = [f"{a} {b} {c} {d}" for a in (-1, 1) for b in (-1, 1) for c in (-1, 1) for d in (-1, 1)]
+    assert out == "".join(
+        ["dim 4\n"]
+        + [f"vertex {u}\n" for u in sorted(units, key=lambda u: [int(c) for c in u.split()])]
+        + [f"facet {s} <= 1\n" for s in signs]
+    )
+
+
+def test_pinned_honeycomb_svg(fixture_files, tmp_path, capsys):
+    svg_path = tmp_path / "hex.svg"
+    code, out, _ = run_cli(["polytope", fixture_files["honeycomb"], "--svg", str(svg_path)], capsys)
+    assert (code, out) == (0, HEX_TEXT)
+    assert svg_path.read_text() == HEX_SVG
+
+
+def test_anisotropy_of_a_polytope_with_many_vertices(tmp_path, capsys):
+    # The integer points on the spheres x^2+y^2+z^2 = 9 and 10: 54 points,
+    # 48 of them vertices.  Their hull carries its facets like any other.
+    shell = [
+        (x, y, z)
+        for x in range(-3, 4) for y in range(-3, 4) for z in range(-3, 4)
+        if x * x + y * y + z * z in (9, 10)
+    ]
+    assert len(shell) == 54
+    poly_path = tmp_path / "shell.json"
+    poly_path.write_text(json.dumps({"dim": 3, "vertices": [[str(c) for c in p] for p in shell]}))
+    code, dgf, _ = run_cli(["realize", str(poly_path)], capsys)
+    assert code == 0
+    graph_path = tmp_path / "shell.dgf"
+    graph_path.write_text(dgf)
+    code, out, err = run_cli(["anisotropy", str(graph_path)], capsys)
+    assert (code, out, err) == (0, "inradius2 8\ncircumradius2 10\nisotropic false\n", "")
+
+
+# ---------------------------------------------------------------------------
 # budgets and stability
 
 

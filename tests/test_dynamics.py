@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,41 @@ def test_schedule_converges_to_mixture(honeycomb):
     v = empirical_velocity(honeycomb, prefix)
     gap = max(abs(a - b) for a, b in zip(v, (F(1, 4), F(1, 4))))
     assert gap <= F(1, 20)
+
+
+def test_schedule_holds_one_copy_of_the_walk(square):
+    cycles = enumerate_cycles(square)
+    plan = build_plan(square, [(cycles[0], F(1, 2)), (cycles[1], F(1, 4)), (cycles[2], F(1, 4))])
+    tracemalloc.start()
+    try:
+        prefix = schedule(plan, 64)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        empirical_velocity(square, prefix)
+        _, velocity_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(prefix)
+    assert len(prefix) == 87376
+    # a list of the whole walk next to the tuple would make the peak twice the tuple
+    assert peak < 1.5 * size
+    # checking that consecutive edges compose must not copy the walk
+    assert velocity_peak - before < 0.5 * size
+
+
+def test_schedule_allocates_the_walk_once(square):
+    cycles = enumerate_cycles(square)
+    plan = build_plan(square, [(cycles[0], F(1, 2)), (cycles[1], F(1, 4)), (cycles[2], F(1, 4))])
+    tracemalloc.start()
+    try:
+        prefix = schedule(plan, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prefix) == 699040
+    # a tuple grown by realloc peaks at its over-allocated size, 1.25x here
+    assert peak < 1.05 * sys.getsizeof(prefix)
 
 
 def test_schedule_k_max_validation(honeycomb):

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import CROSS_VERTICES, HEX_VELOCITIES, HEX_VERTICES, random_rational_points
-from oracles import gauge_caratheodory, member_caratheodory
+from oracles import facets_brute, gauge_caratheodory, member_caratheodory
 from velo import (
     Facet,
     Polytope,
@@ -105,12 +108,16 @@ def test_hull_cube_with_interior_point():
     assert p.facets is not None and len(p.facets) == 6
 
 
-def test_hull_facet_budget_omits_hrep():
-    pts = [(F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(1), F(0)),
-           (F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(0), F(0), F(-1))]
-    p = convex_hull(pts, facet_budget=3)
-    assert len(p.vertices) == 6
-    assert p.facets is None
+def test_hull_drops_boundary_points_placed_before_a_vertex():
+    # Points near the origin pull the centroid there, so (11, 0, ...) is placed
+    # before the vertex at the origin, which then leaves it inside an edge.
+    for d in (2, 3):
+        corners = [tuple(F(12 * (i == j)) for j in range(d)) for i in range(d)]
+        near = [tuple(F(c) for c in q) for q in product((1, 2), repeat=d)]
+        pts = corners + [(F(0),) * d, (F(11),) + (F(0),) * (d - 1)] + near
+        p = convex_hull(pts)
+        assert p.vertices == tuple(sorted(corners + [(F(0),) * d]))
+        assert [tuple(f) for f in p.facets] == facets_brute(pts)
 
 
 def test_hull_idempotent():
@@ -144,6 +151,59 @@ def test_hull_ring_2d(hexagon):
     for i in range(len(ring)):
         o, a, b = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
         assert (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0
+
+
+def _ccw(ring):
+    return all(
+        (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0
+        for o, a, b in zip(ring, ring[1:] + ring[:1], ring[2:] + ring[:2])
+    )
+
+
+_small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def point_sets(draw):
+    """1-9 small rational points in d = 1..4, duplicates allowed.
+
+    Half the draws lie in a random affine subspace of lower dimension, as
+    integer combinations of a few rational directions from a base point.
+    """
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    vec = st.lists(_small_rationals, min_size=d, max_size=d)
+    if draw(st.booleans()):
+        base = draw(vec)
+        dirs = draw(st.lists(vec, max_size=d - 1))
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(dirs), max_size=len(dirs))
+        return [
+            tuple(b + sum((c * v[i] for c, v in zip(cs, dirs)), F(0)) for i, b in enumerate(base))
+            for cs in draw(st.lists(coeffs, min_size=n, max_size=n))
+        ]
+    return [tuple(p) for p in draw(st.lists(vec, min_size=n, max_size=n))]
+
+
+@given(point_sets())
+@example([(F(-1), F(0)), (F(1), F(0)), (F(0), F(1))])  # the origin on a facet
+@example([(F(-3), F(0)), (F(3), F(0)), (F(2), F(0)), (F(0), F(1))])  # the 3 farthest are collinear
+@example([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))])
+def test_hull_matches_brute_force_oracles(pts):
+    d = len(pts[0])
+    p = convex_hull(pts)
+    unique = sorted(set(pts))
+    assert list(p.vertices) == [
+        q for i, q in enumerate(unique) if not member_caratheodory(q, unique[:i] + unique[i + 1:])
+    ]
+    expected = facets_brute(pts)
+    assert (None if p.facets is None else [tuple(f) for f in p.facets]) == expected
+    assert origin_in_hull_interior(pts, d) == (
+        expected is not None and all(b > 0 for _, b in expected)
+    )
+    if d == 2 and expected is not None:
+        ring = list(hull_ring_2d(p))
+        assert ring[0] == p.vertices[0] and sorted(ring) == list(p.vertices)
+        assert _ccw(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +383,12 @@ def test_anisotropy_errors(hexagon):
     shifted = convex_hull([(F(1), F(1)), (F(2), F(1)), (F(1), F(2)), (F(2), F(2))])
     with pytest.raises(ValueError):
         anisotropy(shifted)  # origin not interior
-    budgetless = convex_hull(
-        [(F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(1), F(0)),
-         (F(0), F(-1), F(0)), (F(0), F(0), F(1)), (F(0), F(0), F(-1))],
-        facet_budget=2,
+    flat = convex_hull(
+        [(F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(-1), F(0))]
     )
+    assert flat.facets is None
     with pytest.raises(ValueError):
-        anisotropy(budgetless)  # facets unavailable
+        anisotropy(flat)  # facets unavailable
     with pytest.raises(ValueError):
         anisotropy(hexagon, [[F(1), F(0)], [F(1), F(1)]])  # not symmetric
     with pytest.raises(ValueError):
