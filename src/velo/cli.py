@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import DEFAULT_MAX_CYCLES, Cycle, path_displacement
-from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, convergence_check, empirical_velocity, schedule
+from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, empirical_velocity, schedule
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, VeloError
 from .geometry import (
     Anisotropy,
@@ -26,6 +26,7 @@ from .geometry import (
     format_rational,
     gauge_norm,
     parse_rational,
+    polytope_distance_inf,
     polytope_from_json,
     polytope_to_dict,
     polytope_to_json,
@@ -297,7 +298,7 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
             target[j] += weight * Fraction(disp[j], cycle.length)
     vel = empirical_velocity(g, prefix)
     gap = max(abs(a - b) for a, b in zip(vel, target))
-    dist = convergence_check(g, prefix, analysis.polytope)
+    dist = polytope_distance_inf(analysis.polytope, vel)
     payload = {
         "target": [format_rational(c) for c in target],
         "steps": len(prefix),

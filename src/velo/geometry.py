@@ -4,8 +4,9 @@ Polytopes live in V-representation (extreme points only, lexicographically
 sorted); a full-dimensional polytope also carries its facets.  One exact
 beneath-beyond hull serves every dimension, over integers scaled from the
 rational input, and one fraction-free elimination serves all of the linear
-algebra.  Membership, gauge and distance are exact linear programs.  There is
-no floating point anywhere in this module.
+algebra.  Membership, containment, the gauge and the max-norm distance are
+read off the facets of one such hull each.  There is no floating point
+anywhere in this module.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
-
-from .linprog import solve_standard_lp
 
 QVec = tuple[Fraction, ...]
 
@@ -195,6 +195,17 @@ def _hull(points: Sequence[tuple[int, ...]]) -> tuple[list[int], set[Facet]]:
     return extreme, set(boundary.values())
 
 
+def _scaled_hull(unique: Sequence[QVec]) -> tuple[list[int], int, list[int], set[Facet]]:
+    """Pivot axes, integer scale, extreme-point indices and facets of two or more distinct points.
+
+    The facets a.y <= b are over y, the pivot coordinates of scale * x.
+    """
+    ints, scale = _integer_rows(unique)
+    _, axes, _ = _reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]])
+    extreme, facets = _hull([tuple(p[c] for c in axes) for p in ints])
+    return axes, scale, extreme, facets
+
+
 def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polytope:
     """Exact convex hull: deduplicated extreme points, plus facets when full-dimensional.
 
@@ -220,9 +231,7 @@ def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polyto
     unique = sorted(set(qpoints))
     if len(unique) == 1:
         return Polytope(dim, (unique[0],))
-    ints, scale = _integer_rows(unique)
-    _, axes, _ = _reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]])
-    extreme, facets = _hull([tuple(p[c] for c in axes) for p in ints])
+    axes, scale, extreme, facets = _scaled_hull(unique)
     vertices = tuple(unique[i] for i in sorted(extreme))
     if len(axes) < dim:
         return Polytope(dim, vertices)
@@ -258,23 +267,23 @@ def hull_ring_2d(p: Polytope) -> tuple[QVec, ...]:
 # membership, gauge, distance
 
 
-def _is_in_hull(point: QVec, others: Sequence[QVec]) -> bool:
-    """Exact test: is the point a convex combination of the given points?"""
-    if not others:
+def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
+    """True iff inner is a subset of outer, i.e. each vertex of the hull of both is outer's."""
+    if outer.dim != inner.dim:
+        raise ValueError("polytopes must share one dimension")
+    if inner.is_empty:
+        return True
+    if outer.is_empty:
         return False
-    d = len(point)
-    rows = [[v[j] for v in others] for j in range(d)]
-    rows.append([_ONE] * len(others))
-    rhs = list(point) + [_ONE]
-    cost = [_ZERO] * len(others)
-    return solve_standard_lp(cost, rows, rhs).status == "optimal"
+    both = convex_hull(outer.vertices + inner.vertices, dim=outer.dim)
+    return set(both.vertices) <= set(outer.vertices)
 
 
 def contains_point(p: Polytope, x: Sequence) -> bool:
-    """Exact membership of x in the polytope, by LP feasibility over the vertices."""
+    """Exact membership of x in the polytope: containment of the one-point polytope {x}."""
     if p.is_empty:
         raise ValueError("membership in the empty polytope is undefined")
-    return _is_in_hull(as_qvec(x, p.dim), p.vertices)
+    return contains_polytope(p, Polytope(p.dim, (as_qvec(x, p.dim),)))
 
 
 def satisfies_facets(p: Polytope, x: Sequence) -> bool | None:
@@ -286,65 +295,51 @@ def satisfies_facets(p: Polytope, x: Sequence) -> bool | None:
 
 
 def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
-    """Minkowski gauge min{t >= 0 : x in t*P} over the V-representation.
+    """Minkowski gauge min{t >= 0 : x in t*K} of K = conv(P and the origin).
 
-    Computed as the exact LP min sum(lam) with sum(lam_i * v_i) = x, lam >= 0;
-    returns None when x lies outside the cone spanned by P (gauge infinite).
+    That is min sum(lam) over lam >= 0 with sum(lam_i v_i) = x.  K's facets
+    a.y <= b have b >= 0, so the gauge is the largest a.x / b; it is None
+    (infinite) when x leaves K's span or a facet with b = 0 has a.x > 0.
     """
     if p.is_empty:
         raise ValueError("gauge of the empty polytope is undefined")
     q = as_qvec(x, p.dim)
-    m = len(p.vertices)
-    rows = [[v[j] for v in p.vertices] for j in range(p.dim)]
-    rhs = list(q)
-    sol = solve_standard_lp([_ONE] * m, rows, rhs)
-    if sol.status == "infeasible":
-        return None
-    return sol.value
+    if not any(q):  # this also keeps K = {0}, a single point, away from the hull
+        return _ZERO
+    if p.facets is not None and all(f.offset >= 0 for f in p.facets):
+        facets, y = p.facets, q  # P holds the origin, so K = P
+    else:
+        points = sorted(set(p.vertices) | {(_ZERO,) * p.dim})
+        if affine_dimension(points + [q]) > affine_dimension(points):
+            return None
+        axes, scale, _, facets = _scaled_hull(points)
+        y = tuple(scale * q[c] for c in axes)
+    gauge = _ZERO
+    for f in facets:
+        ay = sum(a * c for a, c in zip(f.normal, y))
+        if f.offset:
+            gauge = max(gauge, ay / f.offset)
+        elif ay > 0:
+            return None
+    return gauge
 
 
 def polytope_distance_inf(p: Polytope, x: Sequence) -> Fraction:
-    """Exact max-norm distance from x to the polytope, via LP."""
+    """Exact max-norm distance from x to the polytope, from the facets of P + [-1, 1]^d.
+
+    P + t*[-1, 1]^d has the same normals for every t > 0, and a facet a.y <= b
+    of P + [-1, 1]^d has b = h_P(a) + |a|_1, so x lies in it iff a.x <= b + (t-1)|a|_1.
+    """
     if p.is_empty:
         raise ValueError("distance to the empty polytope is undefined")
     q = as_qvec(x, p.dim)
-    m = len(p.vertices)
-    d = p.dim
-    # variables: lam (m), t, s1 (d), s2 (d)
-    nvars = m + 1 + 2 * d
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(d):
-        row = [v[j] for v in p.vertices] + [_ZERO] * (1 + 2 * d)
-        row[m] = _ONE
-        row[m + 1 + j] = -_ONE
-        rows.append(row)
-        rhs.append(q[j])
-    for j in range(d):
-        row = [v[j] for v in p.vertices] + [_ZERO] * (1 + 2 * d)
-        row[m] = -_ONE
-        row[m + 1 + d + j] = _ONE
-        rows.append(row)
-        rhs.append(q[j])
-    rows.append([_ONE] * m + [_ZERO] * (1 + 2 * d))
-    rhs.append(_ONE)
-    cost = [_ZERO] * nvars
-    cost[m] = _ONE
-    sol = solve_standard_lp(cost, rows, rhs)
-    if sol.status != "optimal":
-        raise AssertionError("distance LP must be feasible and bounded")
-    return sol.value
-
-
-def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
-    """True iff every vertex of inner lies in outer (hence inner is a subset)."""
-    if outer.dim != inner.dim:
-        raise ValueError("polytopes must share one dimension")
-    if inner.is_empty:
-        return True
-    if outer.is_empty:
-        return False
-    return all(_is_in_hull(v, outer.vertices) for v in inner.vertices)
+    corners = list(product((-1, 1), repeat=p.dim))
+    thick = convex_hull([tuple(c + s for c, s in zip(v, cs)) for v in p.vertices for cs in corners])
+    dist = _ZERO
+    for f in thick.facets:
+        ax = sum(a * c for a, c in zip(f.normal, q))
+        dist = max(dist, (ax - f.offset) / sum(map(abs, f.normal)) + 1)
+    return dist
 
 
 def is_symmetric(p: Polytope) -> bool:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 from .cycles import DEFAULT_MAX_CYCLES, Cycle, _displacement_sum, _velocities, enumerate_cycles
 from .errors import NotStronglyConnectedError
-from .geometry import Polytope, convex_hull, origin_in_hull_interior
+from .geometry import Polytope, _holds_origin_inside, convex_hull
 from .graph import DisplacementGraph, IntVec, strongly_connected_components
 from .intlattice import lattice_rank_and_index
 
@@ -121,13 +121,16 @@ class GraphAnalysis:
         R^d, i.e. whether the origin is interior to their hull.  Scaling each
         displacement by 1/length keeps the cone, and the hull of the velocities
         is the hull of the per-component polytopes' vertices, so those few
-        vertices decide it.
+        vertices decide it; one component's polytope already is that hull.
         """
         g = self.graph
         displacements = sorted({d for pairs in self.cycle_pairs.values() for d, _ in pairs})
         rank, index = lattice_rank_and_index(displacements, g.dim)
-        corners = sorted({v for _, poly in self.components for v in poly.vertices})
-        cone_full = bool(corners) and origin_in_hull_interior(corners, g.dim)
+        if len(self.components) == 1:
+            hull = self.components[0][1]
+        else:
+            hull = convex_hull([v for _, poly in self.components for v in poly.vertices], dim=g.dim)
+        cone_full = _holds_origin_inside(hull)
         if len(self.sccs) > 1:
             verdict = VERDICT_DISCONNECTED
         elif rank == g.dim and index == 1 and cone_full:

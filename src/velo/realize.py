@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .cycles import DEFAULT_MAX_CYCLES
-from .geometry import Polytope, contains_polytope, convex_hull
+from .geometry import Polytope, convex_hull
 from .graph import DisplacementGraph, Edge
 from .invariants import velocity_polytope
 
@@ -22,10 +22,7 @@ def realize(p: Polytope) -> DisplacementGraph:
     if p.is_empty:
         raise ValueError("cannot realize the empty polytope")
     hull = convex_hull(p.vertices, dim=p.dim)
-    scale = 1
-    for v in hull.vertices:
-        for c in v:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for v in hull.vertices for c in v))
     vertices = tuple(f"u{i}" for i in range(1, scale + 1))
     edges = [Edge(j, j + 1, (0,) * p.dim) for j in range(scale - 1)]
     for w in hull.vertices:
@@ -34,9 +31,6 @@ def realize(p: Polytope) -> DisplacementGraph:
 
 
 def roundtrip_check(p: Polytope, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> bool:
-    """True iff the realized graph's velocity polytope equals the input as a set."""
-    if p.is_empty:
-        raise ValueError("cannot realize the empty polytope")
-    hull = convex_hull(p.vertices, dim=p.dim)
+    """True iff the realized graph's velocity polytope has the input's (canonical) hull vertices."""
     back = velocity_polytope(realize(p), max_cycles=max_cycles)
-    return contains_polytope(back, hull) and contains_polytope(hull, back)
+    return back.vertices == convex_hull(p.vertices, dim=p.dim).vertices

@@ -104,7 +104,7 @@ def test_criterion_04_square_lattice_diagonal(square):
     assert gauge_norm(poly, (F(1), F(1))) == 2
     assert gamma_norm_oracle(square, (1, 1), 8) == 2
     _register(poly)
-    _pass(4, "square-lattice diagonal costs exactly 2 by LP and BFS")
+    _pass(4, "square-lattice diagonal costs exactly 2 by the gauge and BFS")
 
 
 def test_criterion_05_gauge_invariance():

@@ -28,6 +28,7 @@ from velo import (
     polytope_to_json,
     satisfies_facets,
 )
+from velo.linprog import solve_standard_lp
 
 F = Fraction
 
@@ -313,6 +314,76 @@ def test_distance_inside_is_zero(hexagon):
 def test_distance_outside_values(hexagon, cross):
     assert polytope_distance_inf(cross, (F(2), F(0))) == 1
     assert polytope_distance_inf(hexagon, (F(1), F(0))) == F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the facet-based queries against references that share no code with them
+
+
+def _distance_by_lp(p, x):
+    """min t s.t. x - t*1 <= sum(lam_i v_i) <= x + t*1, sum(lam) = 1, lam >= 0, as a simplex LP."""
+    m, d = len(p.vertices), p.dim
+    # variables: lam (m), t, slacks of the lower (d) and the upper (d) bounds
+    rows, rhs = [], []
+    for sign, first in ((1, m + 1), (-1, m + 1 + d)):
+        for j in range(d):
+            row = [v[j] for v in p.vertices] + [F(0)] * (1 + 2 * d)
+            row[m] = F(sign)
+            row[first + j] = F(-sign)
+            rows.append(row)
+            rhs.append(x[j])
+    rows.append([F(1)] * m + [F(0)] * (1 + 2 * d))
+    rhs.append(F(1))
+    cost = [F(0)] * (m + 1 + 2 * d)
+    cost[m] = F(1)
+    sol = solve_standard_lp(cost, rows, rhs)
+    assert sol.status == "optimal"
+    return sol.value
+
+
+@st.composite
+def polytope_queries(draw):
+    """Up to six points from ``point_sets``, a query point and a second point set.
+
+    Half the sets are moved so that their affine hull passes through the
+    origin, at the point 2 p_0 - p_last of the hull.  The query is a free
+    point (for a flat set, almost always outside its span), a multiple of a
+    point of the set (inside the linear span) or a midpoint of two of them
+    (inside the set).  The second set holds midpoints of the first and,
+    sometimes, the query.
+    """
+    pts = draw(point_sets())[:6]  # the references enumerate subsets of the points
+    if draw(st.booleans()):
+        shift = [2 * a - b for a, b in zip(pts[0], pts[-1])]
+        pts = [tuple(c - s for c, s in zip(p, shift)) for p in pts]
+    vec = st.lists(_small_rationals, min_size=len(pts[0]), max_size=len(pts[0])).map(tuple)
+    a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+    t = draw(st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(3, 2), F(3)]))
+    x = draw(st.one_of(
+        vec,
+        st.just(tuple(t * c for c in a)),
+        st.just(tuple((c + e) / 2 for c, e in zip(a, b))),
+    ))
+    pair = st.tuples(st.sampled_from(pts), st.sampled_from(pts))
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    inner = [tuple((c + e) / 2 for c, e in zip(u, w)) for u, w in pairs]
+    if draw(st.booleans()):
+        inner.append(x)
+    return pts, x, inner
+
+
+@given(polytope_queries())
+@example(([(F(1), F(0)), (F(2), F(0))], (F(3), F(0)), [(F(3, 2), F(0))]))  # 0 off the affine hull
+@example(([(F(0), F(0)), (F(1), F(0))], (F(1), F(1)), [(F(1, 2), F(0))]))  # x off the span
+@example(([(F(-1),), (F(1),)], (F(3, 2),), [(F(3, 2),)]))  # x outside an interval
+def test_facet_queries_match_references(query):
+    pts, x, inner_pts = query
+    p, inner = convex_hull(pts), convex_hull(inner_pts)
+    assert contains_point(p, x) == member_caratheodory(x, p.vertices)
+    assert contains_polytope(p, inner) == all(member_caratheodory(v, p.vertices) for v in inner_pts)
+    assert contains_polytope(inner, p) == all(member_caratheodory(v, inner.vertices) for v in pts)
+    assert gauge_norm(p, x) == gauge_caratheodory(x, p.vertices)
+    assert polytope_distance_inf(p, x) == _distance_by_lp(p, x)
 
 
 # ---------------------------------------------------------------------------
