@@ -23,6 +23,7 @@ from .dynamics import (
     convergence_check,
     empirical_velocity,
     schedule,
+    schedule_totals,
 )
 from .errors import (
     BudgetError,
@@ -141,6 +142,7 @@ __all__ = [
     "roundtrip_check",
     "satisfies_facets",
     "schedule",
+    "schedule_totals",
     "serialize_dgf",
     "solve_lp",
     "solve_standard_lp",

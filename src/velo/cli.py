@@ -14,9 +14,10 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cycles import DEFAULT_MAX_CYCLES, Cycle, path_displacement
-from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, empirical_velocity, schedule
+from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, schedule_totals
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, VeloError
 from .geometry import (
     Anisotropy,
@@ -283,25 +284,23 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
         indices = list(range(len(weights)))
     if len(indices) != len(weights):
         return _fail("number of weights must match number of cycle indices")
-    try:
-        chosen = [cycles[i] for i in indices]
-    except IndexError:
+    if not all(0 <= i < len(cycles) for i in indices):
         return _fail(f"cycle index out of range (graph has {len(cycles)} cycles)")
-    plan = build_plan(g, list(zip(chosen, weights)))
-    prefix = schedule(plan, args.kmax, budget=budgets.prefix)
-    if not prefix:
+    plan = build_plan(g, [(cycles[i], w) for i, w in zip(indices, weights)])
+    steps, displacement = schedule_totals(g, plan, args.kmax, budget=budgets.prefix)
+    if not steps:
         return _fail("scheduled prefix is empty; increase --kmax")
     target = [Fraction(0)] * g.dim
     for cycle, weight in plan.cycles:
         disp = path_displacement(g, cycle.edges)
         for j in range(g.dim):
             target[j] += weight * Fraction(disp[j], cycle.length)
-    vel = empirical_velocity(g, prefix)
+    vel = tuple(Fraction(c, steps) for c in displacement)
     gap = max(abs(a - b) for a, b in zip(vel, target))
     dist = polytope_distance_inf(analysis.polytope, vel)
     payload = {
         "target": [format_rational(c) for c in target],
-        "steps": len(prefix),
+        "steps": steps,
         "velocity": [format_rational(c) for c in vel],
         "target_gap": format_rational(gap),
         "polytope_gap": format_rational(dist),
@@ -310,7 +309,7 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         print("target " + " ".join(payload["target"]))
-        print(f"steps {len(prefix)}")
+        print(f"steps {steps}")
         print("velocity " + " ".join(payload["velocity"]))
         print(f"target_gap {payload['target_gap']}")
         print(f"polytope_gap {payload['polytope_gap']}")
@@ -352,7 +351,9 @@ def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = _Parser(prog="velo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,7 +8,6 @@ is traversed k times, so the mixture error decays like 1/k.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import Sequence
 from .cycles import Cycle, Path, is_cycle, path_displacement
 from .errors import BudgetError, NotStronglyConnectedError
 from .geometry import Polytope, QVec, polytope_distance_inf
-from .graph import DisplacementGraph, strongly_connected_components
+from .graph import DisplacementGraph, IntVec, strongly_connected_components
 
 DEFAULT_PREFIX_BUDGET = 10_000_000
 
@@ -99,6 +98,31 @@ def build_plan(
     return TrajectoryPlan(tuple(entries), tuple(connectors))
 
 
+def _stage_repeats(
+    plan: TrajectoryPlan, k_max: int, budget: int
+) -> tuple[list[list[int]], int]:
+    """Per stage, how often each planned cycle repeats; and the walk's length.
+
+    Raises BudgetError at the first stage whose running total exceeds the budget.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    connector_length = sum(map(len, plan.connectors))
+    total = 0
+    stage_repeats: list[list[int]] = []
+    for k in range(1, k_max + 1):
+        # floor(k * weight / length)
+        repeats = [k * w.numerator // (w.denominator * c.length) for c, w in plan.cycles]
+        length = sum(a * c.length for a, (c, _) in zip(repeats, plan.cycles))
+        total += k * (length + connector_length)
+        if total > budget:
+            raise BudgetError(
+                f"scheduled prefix would exceed the budget of {budget} edges at stage {k}"
+            )
+        stage_repeats.append(repeats)
+    return stage_repeats, total
+
+
 def schedule(
     plan: TrajectoryPlan, k_max: int, *, budget: int = DEFAULT_PREFIX_BUDGET
 ) -> Path:
@@ -108,20 +132,7 @@ def schedule(
     floor(k * weight_i / length_i) times followed by connector i.  The result
     composes in the quotient graph because every cycle is closed.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    total = 0
-    stage_repeats: list[list[int]] = []
-    for k in range(1, k_max + 1):
-        repeats = [math.floor(k * weight / cycle.length) for cycle, weight in plan.cycles]
-        length = sum(a * cycle.length for a, (cycle, _) in zip(repeats, plan.cycles))
-        length += sum(len(p) for p in plan.connectors)
-        total += k * length
-        if total > budget:
-            raise BudgetError(
-                f"scheduled prefix would exceed the budget of {budget} edges at stage {k}"
-            )
-        stage_repeats.append(repeats)
+    stage_repeats, total = _stage_repeats(plan, k_max, budget)
     blocks: list[list[int]] = []
     for repeats in stage_repeats:
         block: list[int] = []
@@ -133,6 +144,29 @@ def schedule(
     return tuple(_Sized(total, chain.from_iterable(
         block for k, block in enumerate(blocks, start=1) for _ in range(k)
     )))
+
+
+def schedule_totals(
+    g: DisplacementGraph, plan: TrajectoryPlan, k_max: int, *, budget: int = DEFAULT_PREFIX_BUDGET
+) -> tuple[int, IntVec]:
+    """Length and displacement of ``schedule(plan, k_max)``, without building the walk.
+
+    Stage k adds k * (sum_i a_ki * disp(cycle_i) + sum_i disp(connector_i)),
+    with a_ki = floor(k * weight_i / length_i) as in ``schedule``, which
+    raises the same BudgetError at the same stage.  Rather than every step of
+    the walk, the plan is checked: each cycle must close and connector i must
+    run from the base of cycle i to the base of the next (ValueError otherwise).
+    """
+    stage_repeats, total = _stage_repeats(plan, k_max, budget)
+    cycles = [c.edges for c, _ in plan.cycles]
+    # each cycle twice, so that it closes, then its connector into the next one
+    ring = [(*c, *c, *p) for c, p in zip(cycles, plan.connectors, strict=True)]
+    path_displacement(g, tuple(chain(*ring, *cycles[:1])))
+    counts = [sum(k * a for k, a in enumerate(column, start=1)) for column in zip(*stage_repeats)]
+    stages = k_max * (k_max + 1) // 2  # every connector runs once per stage
+    parts = [(n, path_displacement(g, path)) for n, path in
+             [*zip(counts, cycles), *((stages, p) for p in plan.connectors)]]
+    return total, tuple(sum(n * vec[j] for n, vec in parts) for j in range(g.dim))
 
 
 class _Sized:

@@ -7,10 +7,10 @@ unrolling supports exact shortest-path measurements.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, UnreachableError
@@ -255,8 +255,10 @@ class UnrolledPatch:
 
     Contains every node (v, x) with max-norm of x at most ``radius``; edges
     whose translated target falls outside the window are omitted.  Nodes are
-    addressed by a dense integer id so that the patch never materialises
-    adjacency lists.
+    addressed by a dense integer id, vertex index slowest (``node_id``,
+    ``node_at``, ``neighbors``), so that the patch never materialises
+    adjacency lists.  ``bfs_distance`` reads only the graph and the radius and
+    numbers the nodes in its own padded layout.
     """
 
     graph: DisplacementGraph
@@ -338,26 +340,63 @@ def bfs_distance(
 
     Unreachable within a window is an upper-bound artifact: the full periodic
     graph may still connect the two nodes outside the window.
+
+    The search runs level by level over one byte of "seen" flag per node, in
+    its own layout: vertex index fastest, then the coordinates, each axis
+    padded on both sides by the largest |displacement| on that axis.  The
+    padding starts out seen, so a step that leaves the window lands on a seen
+    byte and every edge is a fixed id offset with no bounds test.  An edge
+    with some |displacement| > 2 * radius can never stay inside the window
+    and is dropped, which keeps the padding at most 2 * radius per side.
     """
     for endpoint in (source, target):
         if not patch.contains(endpoint):
             raise ValueError(f"endpoint {endpoint!r} is outside the patch")
-    src = patch.node_id(source)
-    dst = patch.node_id(target)
+    g, r, width = patch.graph, patch.radius, patch.window
+    edges = [e for e in g.edges if inf_norm(e.displacement) <= 2 * r]
+    pads = [max((abs(e.displacement[j]) for e in edges), default=0) for j in range(g.dim)]
+    strides = [len(g.vertices)]  # then one per axis, the last being the array size
+    for pad in pads:
+        strides.append(strides[-1] * (width + 2 * pad))
+    nv, size = strides[0], strides.pop()
+
+    def node(v: int, coords: Sequence[int]) -> int:
+        return v + sum(s * (c + r + p) for s, c, p in zip(strides, coords, pads))
+
+    src, dst = node(*source), node(*target)
     if src == dst:
         return 0
-    dist = [-1] * patch.vertex_count
-    dist[src] = 0
-    queue: deque[int] = deque([src])
-    while queue:
-        nid = queue.popleft()
-        d = dist[nid]
-        for nb in patch.neighbors(nid):
-            if dist[nb] == -1:
-                if nb == dst:
-                    return d + 1
-                dist[nb] = d + 1
-                queue.append(nb)
+    # everything seen but the window itself, cleared in runs of nv * width bytes
+    seen = bytearray(b"\x01") * size
+    starts = [node(0, [-r] * g.dim)]
+    for stride in strides[1:]:
+        starts = [a + stride * i for a in starts for i in range(width)]
+    clear = bytes(nv * width)
+    for a in starts:
+        seen[a:a + len(clear)] = clear
+    # the id offsets of the distinct moves out of each vertex
+    moves: list[set[int]] = [set() for _ in range(nv)]
+    for e in edges:
+        moves[e.source].add(e.target - e.source + sum(map(mul, strides, e.displacement)))
+    # one frontier list per quotient vertex, so each move runs over a whole list
+    seen[src] = 1
+    frontier: list[list[int]] = [[] for _ in range(nv)]
+    frontier[source[0]].append(src)
+    depth = 0
+    while any(frontier):
+        depth += 1
+        nxt: list[list[int]] = [[] for _ in range(nv)]
+        for v, ids in enumerate(frontier):
+            for off in moves[v]:
+                out = nxt[(v + off) % nv]
+                for nid in ids:
+                    t = nid + off
+                    if not seen[t]:
+                        seen[t] = 1
+                        out.append(t)
+        if seen[dst]:
+            return depth
+        frontier = nxt
     return None
 
 

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to validate the production algorithms.
 
 Nothing here shares code paths with the library: cycles come from plain DFS,
-membership, gauge values and facets come from enumerating small point subsets
-and solving exact linear systems, never from the simplex solver or the hull.
+window distances from a BFS over (vertex, coordinates) tuples, and membership,
+gauge values and facets come from enumerating small point subsets and solving
+exact linear systems, never from the simplex solver or the hull.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -36,6 +38,31 @@ def brute_cycles(g: DisplacementGraph) -> list[tuple[int, ...]]:
     for eid in range(len(g.edges)):
         extend([eid], frozenset({g.edges[eid].source}))
     return sorted(found)
+
+
+def bfs_window(
+    g: DisplacementGraph,
+    radius: int,
+    source: tuple[int, Sequence[int]],
+    target: tuple[int, Sequence[int]],
+) -> int | None:
+    """Directed edge distance between two nodes (v, x) of the unrolled graph, using
+    only nodes with every |x_i| <= radius; None when the window does not connect them."""
+    start, goal = (source[0], tuple(source[1])), (target[0], tuple(target[1]))
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            return dist[node]
+        v, x = node
+        for e in g.edges:
+            y = tuple(a + b for a, b in zip(x, e.displacement))
+            nxt = (e.target, y)
+            if e.source == v and all(abs(c) <= radius for c in y) and nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return None
 
 
 def solve_exact(

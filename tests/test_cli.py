@@ -155,6 +155,15 @@ def test_simulate_weight_mismatch(fixture_files, capsys):
     assert "match" in err
 
 
+@pytest.mark.parametrize("index", ["4", "-1"])
+def test_simulate_cycle_index_out_of_range(fixture_files, index, capsys):
+    # a negative index must not count from the end of the cycle list
+    args = ["simulate", fixture_files["square"], "--weights", "1", "--cycles", index, "--kmax", "4"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: cycle index out of range (graph has 4 cycles)\n"
+
+
 # ---------------------------------------------------------------------------
 # realize
 

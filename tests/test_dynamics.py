@@ -7,11 +7,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_gauge, random_strongly_connected_graph, random_walk
 from velo import (
     BudgetError,
+    Cycle,
     NotStronglyConnectedError,
+    TrajectoryPlan,
     build_plan,
     convergence_check,
     empirical_velocity,
@@ -20,6 +24,7 @@ from velo import (
     parse_dgf,
     path_displacement,
     schedule,
+    schedule_totals,
     velocity_polytope,
 )
 from velo.graph import inf_norm
@@ -122,6 +127,7 @@ def test_schedule_hand_trace():
     c = enumerate_cycles(g)[0]
     plan = build_plan(g, [(c, F(1))])
     assert schedule(plan, 2) == (0, 0, 0, 0, 0)
+    assert schedule_totals(g, plan, 2) == (5, (5,))
 
 
 def test_schedule_length_formula(honeycomb):
@@ -195,6 +201,71 @@ def test_schedule_k_max_validation(honeycomb):
     plan = build_plan(honeycomb, [(cycles[0], F(1))])
     with pytest.raises(ValueError):
         schedule(plan, 0)
+    with pytest.raises(ValueError):
+        schedule_totals(honeycomb, plan, 0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form totals
+
+
+def _budget_error(fn, *args, **kwargs) -> str:
+    with pytest.raises(BudgetError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_schedule_totals_match_the_walk(seed, k_max):
+    rng = random.Random(seed)
+    g = random_strongly_connected_graph(rng)
+    cycles = enumerate_cycles(g)
+    chosen = rng.sample(cycles, rng.randint(1, min(3, len(cycles))))
+    parts = [rng.randint(1, 6) for _ in chosen]
+    plan = build_plan(g, [(c, F(p, sum(parts))) for c, p in zip(chosen, parts)])
+    prefix = schedule(plan, k_max)
+    n = len(prefix)
+    assert schedule_totals(g, plan, k_max) == (n, path_displacement(g, prefix))
+    assert schedule_totals(g, plan, k_max, budget=n)[0] == n
+    if n:
+        for budget in (n - 1, rng.randrange(n)):
+            assert _budget_error(schedule_totals, g, plan, k_max, budget=budget) == _budget_error(
+                schedule, plan, k_max, budget=budget
+            )
+
+
+def test_schedule_totals_empty_walk():
+    # stage k repeats the 2-cycle floor(k / 4) times and the loop floor(k / 2)
+    # times, and both start at A, so stage 1 is empty
+    g = parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 1\nedge B A 0\nedge A A 3")
+    plan = build_plan(g, [(Cycle((0, 1)), F(1, 2)), (Cycle((2,)), F(1, 2))])
+    assert schedule(plan, 1) == ()
+    assert schedule_totals(g, plan, 1) == (0, (0,))
+    # stage 4 holds the 2-cycle once and the loop twice: 4 * 1 + (2 + 3 + 4 * 2) * 3
+    assert schedule_totals(g, plan, 4) == (21, (43,))
+
+
+def test_schedule_totals_check_the_plan(honeycomb):
+    # A -e0-> B -e3-> A and B -e3-> A -e0-> B start at different vertices, so
+    # an empty connector does not join them; e0 alone does not close
+    loops = (Cycle((0, 3)), Cycle((3, 0)))
+    halves = tuple((c, F(1, 2)) for c in loops)
+    bad = [
+        TrajectoryPlan(halves, ((), ())),
+        TrajectoryPlan(halves, ((0,), ())),  # only the way back fails
+        TrajectoryPlan(((Cycle((0,)), F(1)),), ((),)),
+        TrajectoryPlan(((Cycle((0,)), F(1, 2)), (loops[0], F(1, 2))), ((3,), ())),
+        TrajectoryPlan(((loops[0], F(1)),), ((7,),)),
+    ]
+    for plan in bad:
+        with pytest.raises(ValueError):
+            path_displacement(honeycomb, schedule(plan, 8))  # the walk fails to compose
+        with pytest.raises(ValueError):
+            schedule_totals(honeycomb, plan, 8)
+    good = TrajectoryPlan(halves, ((0,), (3,)))
+    assert schedule_totals(honeycomb, good, 3) == (
+        len(schedule(good, 3)), path_displacement(honeycomb, schedule(good, 3))
+    )
 
 
 # ---------------------------------------------------------------------------

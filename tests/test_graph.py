@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import HONEYCOMB_DGF, random_gauge, random_graph, random_walk
+from oracles import bfs_window
 from velo import (
     BudgetError,
     DgfError,
@@ -256,6 +260,60 @@ def test_bfs_triangle_inequality(square):
                 if ab is not None and bc is not None and ac is not None:
                     assert ac <= ab + bc
             assert (bfs_distance(patch, a, b) == 0) == (a == b)
+
+
+@st.composite
+def windows(draw):
+    """A graph with at most 4 vertices and 8 edges in d = 1..3, a window radius of
+    1..6 (1..3 in d = 3), and two nodes of that window.
+
+    Displacements reach 6, so some edges leave every window of a small radius.
+    """
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    radius = draw(st.integers(1, 6 if dim < 3 else 3))
+    vertex = st.integers(0, n - 1)
+    edge = st.builds(Edge, vertex, vertex, st.tuples(*[st.integers(-6, 6)] * dim))
+    edges = tuple(draw(st.lists(edge, max_size=8)))
+    g = DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), edges)
+    node = st.tuples(vertex, st.tuples(*[st.integers(-radius, radius)] * dim))
+    return g, radius, draw(node), draw(node)
+
+
+def _loops(*disps):
+    """One vertex with a loop per displacement."""
+    return DisplacementGraph(len(disps[0]), ("A",), tuple(Edge(0, 0, d) for d in disps))
+
+
+def _pair(there, back):
+    """An edge A -> B and an edge B -> A."""
+    return DisplacementGraph(len(there), ("A", "B"), (Edge(0, 1, there), Edge(1, 0, back)))
+
+
+@given(windows())
+@example((_loops((1,)), 3, (0, (0,)), (0, (-1,))))  # unreachable
+@example((_loops((4,), (-3,)), 2, (0, (-2,)), (0, (-1,))))  # a move of exactly 2 * radius
+@example((_pair((5, 0), (-1, 1)), 2, (0, (0, 0)), (1, (0, 0))))  # A -> B leaves every window
+def test_bfs_matches_tuple_bfs(case):
+    g, radius, source, target = case
+    assert bfs_distance(unroll(g, radius), source, target) == bfs_window(g, radius, source, target)
+
+
+def test_bfs_memory_ignores_edges_that_leave_every_window():
+    # padding the window for the (1000, 1000, 0) edge would take 2003 * 2003 * 3 bytes
+    g = parse_dgf(
+        "dim 3\nvertex A\nedge A A 1000 1000 0\n"
+        "edge A A 1 0 0\nedge A A 0 1 0\nedge A A 0 0 1\nedge A A -1 -1 -1\n"
+    )
+    patch = unroll(g, 1)
+    tracemalloc.start()
+    try:
+        dist = bfs_distance(patch, (0, (-1, -1, -1)), (0, (1, 1, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist == 6
+    assert peak < 100_000
 
 
 # ---------------------------------------------------------------------------
