@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .cycles import DEFAULT_MAX_CYCLES, Cycle, path_displacement
 from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, schedule_totals
@@ -351,9 +350,7 @@ def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
-@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it."""
     parser = _Parser(prog="velo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -361,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.add_argument("--svg", metavar="PATH", help="write a 2-d SVG rendering")
-    p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("norm", help="growth norm of an integer direction")
     p.add_argument("graph")
@@ -369,12 +365,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="oracle sample index")
     p.add_argument("--oracle", action="store_true", help="also run the BFS oracle")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("cycles", help="list canonical simple cycles")
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("simulate", help="schedule a weighted cycle mixture and measure it")
     p.add_argument("graph")
@@ -382,32 +376,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", help="comma-separated canonical cycle indices (default: first ones)")
     p.add_argument("--kmax", type=int, default=16)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("realize", help="emit a graph realizing a polytope JSON file")
     p.add_argument("polytope")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("check-morphism", help="velocity obstruction to graph morphisms")
     p.add_argument("source")
     p.add_argument("dest")
-    p.set_defaults(func=cmd_check_morphism)
 
     p = sub.add_parser("anisotropy", help="in/circumradius of the velocity polytope")
     p.add_argument("graph")
     p.add_argument("--metric", help="rational matrix, rows separated by ';', entries by ','")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_anisotropy)
 
     p = sub.add_parser("report", help="one-shot structural and geometric report")
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     budget_env = os.environ.get("VELO_BUDGET")
     if budget_env is not None:
         try:
@@ -419,14 +412,18 @@ def main(argv: list[str] | None = None) -> int:
         budgets = Budgets(max_cycles=value, patch=value, prefix=value)
     else:
         budgets = Budgets()
-    parser = _build_parser()
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
-        return args.func(args, budgets)
+        # looked up on each call, so that a rebound cmd_* function (a tracer,
+        # a test) runs although the parser is built once
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(args, budgets)
     except DgfError as exc:
         return _fail(str(exc))
     except BudgetError as exc:
