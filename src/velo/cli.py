@@ -39,7 +39,7 @@ from .graph import (
     serialize_dgf,
 )
 from .invariants import VERDICT_STRONG, ConnectivityReport, GraphAnalysis
-from .realize import realize
+from .realize import DEFAULT_REALIZE_BUDGET, realize
 from .svg import polytope_svg
 
 
@@ -48,6 +48,7 @@ class Budgets:
     max_cycles: int = DEFAULT_MAX_CYCLES
     patch: int = DEFAULT_PATCH_BUDGET
     prefix: int = DEFAULT_PREFIX_BUDGET
+    realize: int = DEFAULT_REALIZE_BUDGET
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +123,7 @@ def _report_payload(analysis: GraphAnalysis) -> dict:
     payload: dict = {
         "graph": analysis.graph,
         "report": analysis.report,
-        "cycles": len(analysis.cycles),
+        "cycles": analysis.cycle_count,
         "velocities": analysis.velocities,
     }
     if analysis.report.scc_count == 1:
@@ -318,7 +319,7 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
 def cmd_realize(args: argparse.Namespace, budgets: Budgets) -> int:
     with open(args.polytope, "r") as fh:
         poly = polytope_from_json(fh.read())
-    sys.stdout.write(serialize_dgf(realize(poly)))
+    sys.stdout.write(serialize_dgf(realize(poly, budget=budgets.realize)))
     return 0
 
 
@@ -409,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError
         except ValueError:
             return _fail(f"VELO_BUDGET must be a positive integer, got {budget_env!r}")
-        budgets = Budgets(max_cycles=value, patch=value, prefix=value)
+        budgets = Budgets(max_cycles=value, patch=value, prefix=value, realize=value)
     else:
         budgets = Budgets()
     if _parser is None:

@@ -75,6 +75,13 @@ def least_rotation(seq: Sequence[int]) -> int:
     return best % n
 
 
+def least_first(edges: Sequence[int]) -> Path:
+    """Canonical rotation of a simple cycle's edge ids: the one starting at the least id."""
+    edges = tuple(edges)
+    k = edges.index(min(edges))
+    return edges[k:] + edges[:k]
+
+
 def canonical_rotation(edges: Sequence[int]) -> Path:
     """Rotation of the edge sequence that is lexicographically smallest."""
     edges = tuple(edges)
@@ -187,8 +194,7 @@ def enumerate_cycles(
                     g.vertices[v] for v in sorted(comp)
                 ) + "}"
             raise BudgetError(f"cycle budget of {max_cycles} exceeded{where}")
-        k = edge_seq.index(min(edge_seq))
-        found.append(tuple(edge_seq[k:] + edge_seq[:k]))
+        found.append(least_first(edge_seq))
 
     for eid, e in enumerate(g.edges):
         if e.source == e.target:

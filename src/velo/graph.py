@@ -219,6 +219,64 @@ def strongly_connected_components(g: DisplacementGraph) -> tuple[tuple[int, ...]
     return tuple(sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0]))
 
 
+class Contraction(NamedTuple):
+    """A graph with its chains folded: vertex i of ``graph`` is original
+    vertex ``kept[i]``, and edge j runs along the original edges ``chains[j]``."""
+
+    graph: DisplacementGraph
+    kept: tuple[int, ...]
+    chains: tuple[tuple[int, ...], ...]
+
+
+def contract_chains(g: DisplacementGraph) -> Contraction | None:
+    """Fold every maximal path through chain vertices into one edge; None if there is none.
+
+    A chain vertex has in-degree 1 and out-degree 1 and no self-loop.  The new
+    edge carries the path's displacement sum and keeps its original edge ids,
+    so simple cycles correspond one to one, with the same displacement and
+    length.  A ring made only of chain vertices keeps its least vertex.
+    """
+    n, edges = len(g.vertices), g.edges
+    indegree, outdegree, out_edge = [0] * n, [0] * n, [0] * n
+    for eid, (source, target, _) in enumerate(edges):
+        indegree[target] += 1
+        outdegree[source] += 1
+        out_edge[source] = eid  # the only one, for a chain vertex
+    chain = [indegree[v] == 1 == outdegree[v] and edges[out_edge[v]].target != v
+             for v in range(n)]
+    if not any(chain):
+        return None
+    kept = [not c for c in chain]
+    pending = chain[:]  # chain vertices on no folded path yet
+    walked: list[tuple[int, ...]] = []
+
+    def walk(eid: int) -> None:
+        path = [eid]
+        w = edges[eid].target
+        while pending[w]:
+            pending[w] = False
+            path.append(out_edge[w])
+            w = edges[path[-1]].target
+        walked.append(tuple(path))
+
+    for eid, e in enumerate(edges):
+        if kept[e.source]:
+            walk(eid)
+    for v in range(n):  # in order, so each ring left over is entered at its least vertex
+        if pending[v]:
+            pending[v], kept[v] = False, True
+            walk(out_edge[v])
+    index = {v: i for i, v in enumerate(v for v in range(n) if kept[v])}
+    disps = [e.displacement for e in edges]
+    folded = tuple(
+        Edge(index[edges[p[0]].source], index[edges[p[-1]].target],
+             tuple(map(sum, zip(*[disps[eid] for eid in p]))))
+        for p in walked
+    )
+    graph = DisplacementGraph(g.dim, tuple(g.vertices[v] for v in index), folded)
+    return Contraction(graph, tuple(index), tuple(walked))
+
+
 def gauge_transform(
     g: DisplacementGraph,
     gauge: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],

@@ -5,10 +5,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cycles import DEFAULT_MAX_CYCLES, Cycle, _displacement_sum, _velocities, enumerate_cycles
+from .cycles import (
+    DEFAULT_MAX_CYCLES,
+    Cycle,
+    _displacement_sum,
+    _velocities,
+    enumerate_cycles,
+    least_first,
+)
 from .errors import NotStronglyConnectedError
 from .geometry import Polytope, _holds_origin_inside, convex_hull
-from .graph import DisplacementGraph, IntVec, strongly_connected_components
+from .graph import (
+    Contraction,
+    DisplacementGraph,
+    IntVec,
+    contract_chains,
+    strongly_connected_components,
+)
 from .intlattice import lattice_rank_and_index
 
 VERDICT_STRONG = "StronglyConnectedPeriodic"
@@ -47,11 +60,14 @@ class VelocitySet:
 class GraphAnalysis:
     """The invariants of one graph, each computed lazily and at most once.
 
-    Every field builds on the one before: the simple cycles are enumerated
-    once for the whole graph, reduced to their distinct (displacement, length)
-    pairs per strongly connected component, then to velocities, per-component
-    polytopes and the connectivity verdict.  The cycle budget therefore counts
-    the cycles of the whole graph.
+    Every field builds on the one before.  First every chain (a path through
+    vertices of in-degree 1 and out-degree 1) is folded into one edge; the
+    result is ``core``, which is the graph itself when nothing folds.  The
+    simple cycles of ``core`` are enumerated once, so the cycle budget counts
+    the cycles of the whole graph.  They are reduced to their distinct
+    (displacement, length) pairs per strongly connected component, then to
+    velocities, per-component polytopes and the connectivity verdict.  Only
+    ``cycles`` maps them back to the graph's own edge ids.
     """
 
     def __init__(self, g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> None:
@@ -59,8 +75,39 @@ class GraphAnalysis:
         self.max_cycles = max_cycles
 
     @cached_property
+    def _contraction(self) -> Contraction | None:
+        return contract_chains(self.graph)
+
+    @cached_property
+    def core(self) -> DisplacementGraph:
+        """The graph with its chains folded, or the graph itself when it has none."""
+        c = self._contraction
+        return self.graph if c is None else c.graph
+
+    @cached_property
     def sccs(self) -> tuple[tuple[int, ...], ...]:
-        return strongly_connected_components(self.graph)
+        """SCCs of the graph, as ``strongly_connected_components`` orders them.
+
+        A chain vertex joins its folded edge's component when both ends lie in
+        it, and is a component of its own otherwise.
+        """
+        comps = strongly_connected_components(self.core)
+        c = self._contraction
+        if c is None:
+            return comps
+        comp_of = [0] * len(c.kept)
+        for comp_id, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = comp_id
+        members = [[c.kept[v] for v in comp] for comp in comps]
+        edges = self.graph.edges
+        for e, path in zip(c.graph.edges, c.chains):
+            inner = [edges[eid].source for eid in path[1:]]
+            if comp_of[e.source] == comp_of[e.target]:
+                members[comp_of[e.source]].extend(inner)
+            else:
+                members.extend([v] for v in inner)
+        return tuple(sorted((tuple(sorted(m)) for m in members), key=lambda m: m[0]))
 
     @cached_property
     def scc_membership(self) -> tuple[int, ...]:
@@ -71,8 +118,23 @@ class GraphAnalysis:
         return tuple(membership)
 
     @cached_property
+    def _core_cycles(self) -> tuple[Cycle, ...]:
+        return enumerate_cycles(self.core, self.max_cycles)
+
+    @property
+    def cycle_count(self) -> int:
+        return len(self._core_cycles)
+
+    @cached_property
     def cycles(self) -> tuple[Cycle, ...]:
-        return enumerate_cycles(self.graph, self.max_cycles)
+        """The graph's simple cycles in its own edge ids, as ``enumerate_cycles`` lists them."""
+        c = self._contraction
+        if c is None:
+            return self._core_cycles
+        return tuple(Cycle(p) for p in sorted(
+            least_first([eid for j in cycle.edges for eid in c.chains[j]])
+            for cycle in self._core_cycles
+        ))
 
     @cached_property
     def cycle_pairs(self) -> dict[int, set[tuple[IntVec, int]]]:
@@ -80,13 +142,18 @@ class GraphAnalysis:
 
         A cycle lies inside one component, that of its first edge's source.
         """
-        g = self.graph
-        disps = [e.displacement for e in g.edges]
-        edge_scc = [self.scc_membership[e.source] for e in g.edges]
+        core, c = self.core, self._contraction
+        disps = [e.displacement for e in core.edges]
+        if c is None:
+            kept, length = range(len(core.vertices)), len
+        else:
+            sizes = [len(p) for p in c.chains]
+            kept, length = c.kept, (lambda path: sum(map(sizes.__getitem__, path)))
+        edge_scc = [self.scc_membership[kept[e.source]] for e in core.edges]
         pairs: dict[int, set[tuple[IntVec, int]]] = {}
-        for c in self.cycles:
-            path = c.edges
-            pair = (_displacement_sum(disps, path), len(path))
+        for cycle in self._core_cycles:
+            path = cycle.edges
+            pair = (_displacement_sum(disps, path), length(path))
             pairs.setdefault(edge_scc[path[0]], set()).add(pair)
         return dict(sorted(pairs.items()))
 

@@ -5,24 +5,35 @@ their denominators to obtain integer displacements: a directed ring of that
 many vertices carries zero displacements, and one closing edge per polytope
 vertex carries the rescaled coordinate vector.  Every simple cycle then runs
 the whole ring through exactly one closing edge, so the basic velocities are
-exactly the polytope's vertices.
+exactly the polytope's vertices.  The ring's length is bounded by a vertex
+budget, checked before any vertex is built.
 """
 from __future__ import annotations
 
 import math
 
 from .cycles import DEFAULT_MAX_CYCLES
+from .errors import BudgetError
 from .geometry import Polytope, convex_hull
 from .graph import DisplacementGraph, Edge
 from .invariants import velocity_polytope
 
+DEFAULT_REALIZE_BUDGET = 5_000_000
 
-def realize(p: Polytope) -> DisplacementGraph:
-    """Displacement graph realizing the polytope as its velocity polytope."""
+
+def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> DisplacementGraph:
+    """Displacement graph realizing the polytope as its velocity polytope.
+
+    Raises BudgetError when the ring would need more than ``budget`` vertices.
+    """
     if p.is_empty:
         raise ValueError("cannot realize the empty polytope")
     hull = convex_hull(p.vertices, dim=p.dim)
     scale = math.lcm(*(c.denominator for v in hull.vertices for c in v))
+    if scale > budget:
+        raise BudgetError(
+            f"realize vertex budget of {budget} exceeded: the ring needs lcm {scale} vertices"
+        )
     vertices = tuple(f"u{i}" for i in range(1, scale + 1))
     edges = [Edge(j, j + 1, (0,) * p.dim) for j in range(scale - 1)]
     for w in hull.vertices:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from helpers import HONEYCOMB_DGF
-from velo import parse_dgf, polytope_to_dict, velocity_polytope
+from velo import convex_hull, parse_dgf, polytope_to_dict, realize, serialize_dgf, velocity_polytope
 from velo.cli import main
+
+F = Fraction
 
 HEX_TEXT = """\
 dim 2
@@ -181,6 +184,18 @@ def test_realize_hexagon_json(fixture_files, tmp_path, capsys):
     assert velocity_polytope(g).vertices == velocity_polytope(
         parse_dgf(open(fixture_files["honeycomb"]).read())
     ).vertices
+
+
+def test_realize_vertex_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_text('{"dim": 2, "vertices": [["1/8", "0"], ["0", "1/9"], ["-1/5", "-1/7"]]}')
+    monkeypatch.setenv("VELO_BUDGET", "2519")
+    code, out, err = run_cli(["realize", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: realize vertex budget of 2519 exceeded: the ring needs lcm 2520 vertices\n"
+    monkeypatch.setenv("VELO_BUDGET", "2520")
+    code, out, _ = run_cli(["realize", str(path)], capsys)
+    assert code == 0 and out.count("\nvertex ") == 2520
 
 
 def test_realize_malformed_json(tmp_path, capsys):
@@ -454,10 +469,21 @@ def test_cycle_budget_counts_the_whole_graph(two_honeycombs, command, capsys, mo
     code, out, err = run_cli([command[0], two_honeycombs, *command[1:]], capsys)
     assert code == 2
     assert out == ""
-    assert "cycle budget" in err
+    assert err == "error: cycle budget of 12 exceeded while exploring component {A,B}\n"
 
 
-def test_one_enumeration_per_graph_argument(fixture_files, two_honeycombs, capsys, monkeypatch):
+@pytest.fixture()
+def realized_ring(tmp_path):
+    """A realized polytope with denominators 8, 9, 5 and 7: a ring of 2,520 vertices."""
+    p = convex_hull([(F(1, 8), F(0)), (F(0), F(1, 9)), (F(-1, 5), F(-1, 7)), (F(1, 3), F(1, 3))])
+    path = tmp_path / "ring.dgf"
+    path.write_text(serialize_dgf(realize(p)))
+    return str(path)
+
+
+def test_one_enumeration_per_graph_argument(
+    fixture_files, two_honeycombs, realized_ring, capsys, monkeypatch
+):
     import velo.cycles
 
     original = velo.cycles.enumerate_cycles
@@ -492,12 +518,151 @@ def test_one_enumeration_per_graph_argument(fixture_files, two_honeycombs, capsy
         (["simulate", two_honeycombs, "--weights", "1", "--kmax", "8"], 1, 3),
         (["anisotropy", two_honeycombs], 0, 3),
         (["check-morphism", two_honeycombs, hc], 0, 3),
+        (["polytope", realized_ring, "--json"], 1, 0),
+        (["cycles", realized_ring], 1, 0),
     ]
     for args, expected_calls, expected_code in cases:
         calls.clear()
         code, _, _ = run_cli(args, capsys)
         assert (len(calls), code) == (expected_calls, expected_code), args
         assert len({id(g) for g in calls}) == len(calls), args  # one per graph argument
+
+
+# ---------------------------------------------------------------------------
+# graphs with chain vertices (in-degree 1, out-degree 1), which the analysis
+# folds into single edges; the expected bytes are those of the unfolded analysis
+
+# the honeycomb cell with A -> B cut by M and one B -> A edge replaced by B -> N -> P -> A
+CHAIN_HONEYCOMB_DGF = """\
+dim 2
+vertex A
+vertex B
+vertex M
+vertex N
+vertex P
+edge A M 0 0
+edge M B 0 1
+edge A B -1 0
+edge A B 0 0
+edge B N 0 0
+edge N P 0 -1
+edge P A 0 0
+edge B A 1 0
+edge B A 0 0
+"""
+
+# two components joined by the chain B -> P -> C, with a chain on each and a
+# dangling chain D -> Q -> R
+CHAINED_COMPONENTS_DGF = """\
+dim 2
+vertex A
+vertex B
+vertex M
+vertex P
+vertex C
+vertex N
+vertex D
+vertex Q
+vertex R
+edge A M 0 1
+edge M B 0 0
+edge B A 1 0
+edge B A 0 -1
+edge A B -1 0
+edge B P 0 0
+edge P C 2 0
+edge C N 1 0
+edge N D 0 1
+edge D C -1 0
+edge D C 0 -1
+edge C C 0 1
+edge D Q 0 0
+edge Q R 0 0
+"""
+
+
+@pytest.fixture()
+def chain_files(tmp_path):
+    paths = {}
+    for name, text in (("hc", CHAIN_HONEYCOMB_DGF), ("comps", CHAINED_COMPONENTS_DGF)):
+        paths[name] = tmp_path / f"{name}.dgf"
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_pinned_cycles_on_chains(chain_files, capsys):
+    routes = [
+        "A -e0-> M -e1-> B -e4-> N -e5-> P -e6-> A",
+        "A -e0-> M -e1-> B -e7-> A",
+        "A -e0-> M -e1-> B -e8-> A",
+        "A -e2-> B -e4-> N -e5-> P -e6-> A",
+        "A -e2-> B -e7-> A",
+        "A -e2-> B -e8-> A",
+        "A -e3-> B -e4-> N -e5-> P -e6-> A",
+        "A -e3-> B -e7-> A",
+        "A -e3-> B -e8-> A",
+    ]
+    assert run_cli(["cycles", chain_files["hc"]], capsys) == (
+        0, "\n".join(routes) + "\ncycles 9\n", ""
+    )
+    cycles = [[0, 1, 4, 5, 6], [0, 1, 7], [0, 1, 8], [2, 4, 5, 6], [2, 7], [2, 8],
+              [3, 4, 5, 6], [3, 7], [3, 8]]
+    assert run_cli(["cycles", chain_files["hc"], "--json"], capsys) == (
+        0, json.dumps({"count": 9, "cycles": cycles}, indent=2) + "\n", ""
+    )
+    routes = [
+        "A -e0-> M -e1-> B -e2-> A",
+        "A -e0-> M -e1-> B -e3-> A",
+        "B -e2-> A -e4-> B",
+        "B -e3-> A -e4-> B",
+        "C -e7-> N -e8-> D -e9-> C",
+        "C -e7-> N -e8-> D -e10-> C",
+        "C -e11-> C",
+    ]
+    assert run_cli(["cycles", chain_files["comps"]], capsys) == (
+        0, "\n".join(routes) + "\ncycles 7\n", ""
+    )
+
+
+def test_pinned_simulate_on_chains(chain_files, capsys):
+    args = ["simulate", chain_files["hc"], "--weights", "1/3,2/3", "--cycles", "0,3", "--kmax", "6"]
+    out = "target -1/6 -1/6\nsteps 24\nvelocity -1/4 -1/4\ntarget_gap 1/12\npolytope_gap 0\n"
+    assert run_cli(args, capsys) == (0, out, "")
+
+
+def test_pinned_components_on_chains(chain_files, capsys):
+    out = """\
+dim 2
+components 2
+component 0 vertices A,B,M
+dim 2
+vertex -1/2 -1/2
+vertex 1/3 1/3
+component 2 vertices C,N,D
+dim 2
+vertex 0 1/3
+vertex 0 1
+vertex 1/3 0
+facet -3 -3 <= -1
+facet -1 0 <= 0
+facet 3 1 <= 1
+"""
+    assert run_cli(["polytope", chain_files["comps"]], capsys) == (0, out, "")
+    code, out, _ = run_cli(["report", chain_files["comps"]], capsys)
+    assert code == 0
+    assert "\nscc_count 5\n" in out and "\ncycles 7\n" in out
+
+
+@pytest.mark.parametrize("command", ["cycles", "polytope", "report"])
+def test_cycle_budget_on_chains_names_graph_vertices(chain_files, command, capsys, monkeypatch):
+    # the budget trips at the same count as without folding: 7 cycles fit, 6 do not
+    monkeypatch.setenv("VELO_BUDGET", "7")
+    assert run_cli([command, chain_files["comps"]], capsys)[0] == 0
+    monkeypatch.setenv("VELO_BUDGET", "6")
+    code, out, err = run_cli([command, chain_files["comps"]], capsys)
+    assert (code, out) == (2, "")
+    # M is folded into the edge A -> B, so the component is named by A and B
+    assert err == "error: cycle budget of 6 exceeded while exploring component {A,B}\n"
 
 
 def test_usage_error_exit_code(capsys):

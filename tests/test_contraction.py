@@ -1,0 +1,171 @@
+"""Chain contraction: the analysis of the folded graph against the graph itself."""
+from __future__ import annotations
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from helpers import random_graph
+from oracles import brute_cycles
+from velo import (
+    BudgetError,
+    DisplacementGraph,
+    Edge,
+    GraphAnalysis,
+    convex_hull,
+    realize,
+    strongly_connected_components,
+)
+from velo.graph import contract_chains
+
+F = Fraction
+
+
+class Uncontracted(GraphAnalysis):
+    """The analysis run on the graph itself, every chain left in place."""
+
+    _contraction = None
+
+
+def subdivide(g: DisplacementGraph, cuts: dict[int, int]) -> DisplacementGraph:
+    """Replace edge eid by a path through ``cuts[eid]`` new vertices; its
+    displacement stays on the path's first edge."""
+    names = list(g.vertices)
+    edges = []
+    for eid, e in enumerate(g.edges):
+        source = e.source
+        for _ in range(cuts.get(eid, 0)):
+            names.append(f"c{len(names)}")
+            edges.append(Edge(source, len(names) - 1, e.displacement))
+            source, e = len(names) - 1, e._replace(displacement=(0,) * g.dim)
+        edges.append(Edge(source, e.target, e.displacement))
+    return DisplacementGraph(g.dim, tuple(names), tuple(edges))
+
+
+@st.composite
+def chained_graphs(draw):
+    """A ``helpers`` random graph with up to three of its edges cut into chains."""
+    g = random_graph(random.Random(draw(st.integers(0, 2**32))), max_vertices=4, max_edges=7)
+    picks = draw(st.lists(st.integers(0, len(g.edges) - 1), max_size=3, unique=True))
+    return subdivide(g, {eid: draw(st.integers(1, 3)) for eid in picks})
+
+
+def graph(dim: int, names: str, *edges: tuple[int, int, tuple[int, ...]]) -> DisplacementGraph:
+    return DisplacementGraph(dim, tuple(names), tuple(Edge(*e) for e in edges))
+
+
+PURE_RING = graph(1, "abcd", (0, 1, (1,)), (1, 2, (0,)), (2, 3, (0,)), (3, 0, (-3,)))
+# a and b loop, d and e loop, c runs from one to the other
+CHAIN_BETWEEN_SCCS = graph(
+    2, "abcde",
+    (0, 1, (1, 0)), (1, 0, (0, 0)), (1, 0, (0, 1)), (1, 2, (0, 0)), (2, 3, (1, 1)),
+    (3, 4, (0, -1)), (4, 3, (0, 0)), (4, 3, (1, 0)),
+)
+# b and c lead from a into d, which has a self-loop; d returns to a
+CHAIN_INTO_SELF_LOOP = graph(
+    1, "abcd", (0, 1, (1,)), (1, 2, (0,)), (2, 3, (1,)), (3, 3, (-1,)), (3, 0, (0,)), (0, 0, (2,))
+)
+# b and c hang off the cycle a-a and end at the sink d
+DANGLING_CHAIN = graph(1, "abcd", (0, 0, (1,)), (0, 1, (0,)), (1, 2, (0,)), (2, 3, (0,)))
+
+
+@given(chained_graphs())
+@example(PURE_RING)
+@example(CHAIN_BETWEEN_SCCS)
+@example(CHAIN_INTO_SELF_LOOP)
+@example(DANGLING_CHAIN)
+@example(realize(convex_hull([(F(1, 4),), (F(-1, 6),)])))  # a ring of 12 and two closing edges
+def test_contraction_matches_the_graph_itself(g):
+    an, ref = GraphAnalysis(g), Uncontracted(g)
+    assert ref.core is g
+    cycles = brute_cycles(g)
+    assert [c.edges for c in an.cycles] == cycles
+    assert an.cycle_count == len(cycles)
+    assert an.sccs == strongly_connected_components(g)
+    assert an.scc_membership == ref.scc_membership
+    assert an.cycle_pairs == ref.cycle_pairs
+    assert an.velocities == ref.velocities
+    assert an.components == ref.components
+    assert an.report == ref.report
+
+
+@pytest.mark.parametrize(
+    "g, vertices, edges",
+    [
+        (PURE_RING, "a", [(0, 0, (-2,), (0, 1, 2, 3))]),
+        (CHAIN_BETWEEN_SCCS, "abde", [
+            (0, 1, (1, 0), (0,)), (1, 0, (0, 0), (1,)), (1, 0, (0, 1), (2,)),
+            (1, 2, (1, 1), (3, 4)), (2, 3, (0, -1), (5,)), (3, 2, (0, 0), (6,)),
+            (3, 2, (1, 0), (7,)),
+        ]),
+        (CHAIN_INTO_SELF_LOOP, "ad", [
+            (0, 1, (2,), (0, 1, 2)), (1, 1, (-1,), (3,)), (1, 0, (0,), (4,)), (0, 0, (2,), (5,)),
+        ]),
+        (DANGLING_CHAIN, "ad", [(0, 0, (1,), (0,)), (0, 1, (0,), (1, 2, 3))]),
+    ],
+)
+def test_contracted_graphs(g, vertices, edges):
+    c = contract_chains(g)
+    assert c.graph.vertices == tuple(vertices)
+    assert c.kept == tuple(g.vertices.index(v) for v in vertices)
+    assert [(*e, p) for e, p in zip(c.graph.edges, c.chains)] == edges
+
+
+def test_nothing_contracts_on_graphs_without_chain_vertices(honeycomb, square, pm2):
+    loops = graph(1, "ab", (0, 0, (1,)), (0, 1, (0,)), (1, 1, (1,)), (1, 0, (0,)))
+    lone_loop = graph(1, "a", (0, 0, (1,)))  # in-degree 1 and out-degree 1, through itself
+    source = graph(1, "ab", (0, 1, (1,)), (1, 1, (0,)), (1, 1, (1,)))  # a has in-degree 0
+    for g in (honeycomb, square, pm2, loops, lone_loop, source):
+        assert contract_chains(g) is None
+        assert GraphAnalysis(g).core is g
+
+
+def test_realized_ring_is_contracted_before_any_cycle_work(monkeypatch):
+    import velo.cycles
+    import velo.graph
+    import velo.invariants
+
+    seen = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            seen.append((name, args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    spy(velo.invariants, "enumerate_cycles")
+    spy(velo.graph, "_tarjan")
+    spy(velo.cycles, "_tarjan")
+    # denominators 8, 9, 5 and 7: a ring of lcm 2,520 vertices
+    p = convex_hull([(F(1, 8), F(0)), (F(0), F(1, 9)), (F(-1, 5), F(-1, 7)), (F(1, 3), F(1, 3))])
+    g = realize(p)
+    assert len(g.vertices) == 2520
+    an = GraphAnalysis(g)
+    assert an.polytope == p
+    assert len(an.sccs) == 1
+    # the ring folds into one edge from its first vertex to its last, which
+    # the polytope's closing edges join back to the first
+    core = an.core
+    assert len(core.vertices) == 2 and len(core.edges) == len(p.vertices) + 1
+    assert [arg for name, arg in seen if name == "enumerate_cycles"] == [core]
+    tarjans = [len(arg) for name, arg in seen if name == "_tarjan"]
+    assert tarjans and max(tarjans) <= len(core.vertices)
+
+
+def test_realize_budget_stops_before_the_ring():
+    # lcm 99991 * 99989 ~ 10^10: a ring of that many names would take terabytes
+    p = convex_hull([(F(1, 99991),), (F(-1, 99989),)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="lcm 9998000099 "):
+            realize(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
