@@ -38,7 +38,7 @@ from .graph import (
     parse_dgf,
     serialize_dgf,
 )
-from .invariants import VERDICT_STRONG, ConnectivityReport, GraphAnalysis
+from .invariants import DEFAULT_ORACLE_BUDGET, VERDICT_STRONG, ConnectivityReport, GraphAnalysis
 from .realize import DEFAULT_REALIZE_BUDGET, realize
 from .svg import polytope_svg
 
@@ -49,6 +49,7 @@ class Budgets:
     patch: int = DEFAULT_PATCH_BUDGET
     prefix: int = DEFAULT_PREFIX_BUDGET
     realize: int = DEFAULT_REALIZE_BUDGET
+    oracle: int = DEFAULT_ORACLE_BUDGET
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +70,9 @@ def _load_graph(path: str) -> DisplacementGraph:
 
 
 def _analyze(path: str, budgets: Budgets) -> GraphAnalysis:
-    return GraphAnalysis(_load_graph(path), max_cycles=budgets.max_cycles)
+    return GraphAnalysis(
+        _load_graph(path), max_cycles=budgets.max_cycles, oracle_budget=budgets.oracle
+    )
 
 
 def _polytope_text(p: Polytope, note: str | None = None) -> str:
@@ -120,11 +123,11 @@ def _report_payload(analysis: GraphAnalysis) -> dict:
     ValueError saying why that is unavailable); otherwise the number of
     components with a velocity polytope is given.
     """
-    payload: dict = {
+    payload: dict = {  # the cycles first, so that the cycle budget is the first to run out
         "graph": analysis.graph,
-        "report": analysis.report,
         "cycles": analysis.cycle_count,
         "velocities": analysis.velocities,
+        "report": analysis.report,
     }
     if analysis.report.scc_count == 1:
         payload["polytope"] = poly = analysis.polytope
@@ -410,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError
         except ValueError:
             return _fail(f"VELO_BUDGET must be a positive integer, got {budget_env!r}")
-        budgets = Budgets(max_cycles=value, patch=value, prefix=value, realize=value)
+        budgets = Budgets(max_cycles=value, patch=value, prefix=value, realize=value, oracle=value)
     else:
         budgets = Budgets()
     if _parser is None:

@@ -232,6 +232,82 @@ def basic_velocities(
     )
 
 
+def max_ratio_cycle(
+    arcs: Sequence[tuple[int, int]],
+    weights: Sequence[int],
+    lengths: Sequence[int],
+    budget: int,
+    where: str,
+) -> list[int]:
+    """The arc ids of a simple cycle with the largest sum(weights) / sum(lengths)
+    in a strongly connected graph.
+
+    ``arcs`` are (source, target) pairs over the vertices 0..n-1; every length
+    is positive.  Cycle improvement (Dasdan 2004), in integers: with W/T the
+    best ratio so far, Bellman-Ford from a zero start relaxes the weights
+    T*w - W*t, and after each pass that raised a distance the predecessor
+    graph is searched for a cycle, which then has positive weight, i.e. a
+    ratio above W/T.  A pass that raises nothing proves W/T the maximum, and
+    the ratio grows strictly over finitely many simple cycles, so the loop
+    ends.  It starts from a cycle that each vertex's best arc by w/t closes.
+    More than ``budget`` relaxations (distance raises) in one call raise
+    BudgetError naming ``where``; each run makes at most one pass more than
+    it relaxes, so the work stays within (2 * budget + 1) * len(arcs) steps.
+    """
+    sources = [s for s, _ in arcs]
+    n = max(sources) + 1
+    best: list[int] = [-1] * n
+    for a, s in enumerate(sources):
+        b = best[s]
+        if b < 0 or weights[a] * lengths[b] > weights[b] * lengths[a]:
+            best[s] = a
+    cycle = next(_functional_cycles(best, [t for _, t in arcs]))
+    relaxed = 0
+    while True:
+        w = sum(weights[a] for a in cycle)
+        t = sum(lengths[a] for a in cycle)
+        gain = [(s, v, a, t * x - w * y)
+                for a, ((s, v), x, y) in enumerate(zip(arcs, weights, lengths))]
+        dist, pred = [0] * n, [-1] * n
+        while True:
+            before = relaxed
+            for s, v, a, g in gain:
+                d = dist[s] + g
+                if d > dist[v]:
+                    dist[v], pred[v] = d, a
+                    relaxed += 1
+            if relaxed == before:
+                return cycle
+            if relaxed > budget:
+                raise BudgetError(
+                    f"oracle budget of {budget} relaxations exceeded: a support query "
+                    f"made {relaxed} in component {{{where}}}"
+                )
+            better = next(_functional_cycles(pred, sources), None)
+            if better is not None:
+                cycle = better
+                break
+
+
+def _functional_cycles(choice: Sequence[int], ends: Sequence[int]):
+    """The cycles of the map v -> ends[choice[v]] (undefined where choice[v] < 0),
+    each as the list of its chosen arcs."""
+    mark = [-1] * len(choice)
+    for start in range(len(choice)):
+        v = start
+        while v >= 0 and mark[v] < 0:
+            mark[v] = start
+            v = ends[choice[v]] if choice[v] >= 0 else -1
+        if v >= 0 and mark[v] == start:
+            cycle, u = [], v
+            while True:
+                cycle.append(choice[u])
+                u = ends[choice[u]]
+                if u == v:
+                    break
+            yield cycle
+
+
 @dataclass(frozen=True)
 class CycleDecomposition:
     """Cycles excised from a path plus the short remaining path."""

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 QVec = tuple[Fraction, ...]
 
@@ -104,13 +105,29 @@ def _reduce(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
     return mat, pivots, last
 
 
-def affine_dimension(points: Sequence[QVec]) -> int:
-    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
-    if not points:
-        return -1
+def _kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """A basis of the integer vectors orthogonal to every row, one per non-pivot column."""
+    reduced, pivots, last = _reduce(rows)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [0] * width
+        vec[free] = last
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _affine_normals(points: Sequence[QVec]) -> list[list[int]]:
+    """Integer normals that span the orthogonal complement of the points' affine hull."""
     base = points[0]
     rows, _ = _integer_rows([[a - b for a, b in zip(p, base)] for p in points[1:]])
-    return len(_reduce(rows)[1])
+    return _kernel(rows, len(base))
+
+
+def affine_dimension(points: Sequence[QVec]) -> int:
+    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
+    return len(points[0]) - len(_affine_normals(points)) if points else -1
 
 
 # ---------------------------------------------------------------------------
@@ -123,87 +140,117 @@ def _primitive(normal: Sequence[int], offset: int) -> Facet:
     return Facet(tuple(c // g for c in normal), offset // g)
 
 
-def _hull(points: Sequence[tuple[int, ...]]) -> tuple[list[int], set[Facet]]:
-    """Beneath-beyond hull of distinct integer points that span Z^r affinely.
+class _Hull:
+    """Beneath-beyond hull of distinct rational points, grown one point at a time.
 
-    Returns the indices of the extreme points and the facet inequalities.
-    The boundary is kept as simplices, keyed by their sorted point indices: a
-    point beyond some of them replaces them by the cones from the point over
-    their horizon ridges, the ridges that only one of them has.  Normals are
-    oriented away from the first simplex's centroid, which stays interior.
-    Coplanar simplices share their primitive inequality, which merges them
-    into one facet; an extreme point is one whose facet normals span R^r.
+    The points given first fix the affine hull: the hull is kept over y, the
+    pivot coordinates ``axes`` of scale * x, integers that span Z^r affinely;
+    a later point with new denominators raises ``scale``.  The boundary is
+    kept as simplices, keyed by their sorted point indices: a point beyond
+    some of them replaces them by the cones from the point over their horizon
+    ridges, the ridges that only one of them has.  Normals are oriented away
+    from the first simplex's centroid, which stays interior.  Coplanar
+    simplices share their primitive inequality, which merges them into one
+    facet; an extreme point is one whose facet normals span R^r.
     """
-    n, r = len(points), len(points[0])
-    total = [sum(col) for col in zip(*points)]
 
-    def spread(i: int) -> int:  # n^2 times the squared distance from the centroid
-        return sum((n * x - t) ** 2 for x, t in zip(points[i], total))
+    def __init__(self, points: Sequence[QVec]) -> None:
+        self.points = list(points)
+        ints, self.scale = _integer_rows(points)
+        _, self.axes, _ = _reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]])
+        ys = self.ys = [tuple(p[c] for c in self.axes) for p in ints]
+        n, r = len(ys), len(self.axes)
+        total = [sum(col) for col in zip(*ys)]
 
-    # Far points first: they tend to be extreme, and an interior point then
-    # costs one scan of the boundary.
-    order = sorted(range(n), key=lambda i: -spread(i))
-    simplex = [order[0]]
-    for i in order[1:]:
-        base = points[simplex[0]]
-        rows = [[a - b for a, b in zip(points[j], base)] for j in simplex[1:] + [i]]
-        if len(_reduce(rows)[1]) == len(simplex):
-            simplex.append(i)
-            if len(simplex) == r + 1:
-                break
-    inner = [sum(col) for col in zip(*(points[i] for i in simplex))]
+        def spread(i: int) -> int:  # n^2 times the squared distance from the centroid
+            return sum((n * x - t) ** 2 for x, t in zip(ys[i], total))
 
-    def facet(key: tuple[int, ...]) -> Facet:
-        base = points[key[0]]
-        reduced, pivots, last = _reduce(
-            [[a - b for a, b in zip(points[i], base)] for i in key[1:]]
-        )
-        free = next(c for c in range(r) if c not in pivots)
-        normal = [0] * r
-        normal[free] = last
-        for row, c in zip(reduced, pivots):
-            normal[c] = -row[free]
+        # Far points first: they tend to be extreme, and an interior point then
+        # costs one scan of the boundary.
+        order = sorted(range(n), key=lambda i: -spread(i))
+        simplex = [order[0]]
+        for i in order[1:]:
+            base = ys[simplex[0]]
+            rows = [[a - b for a, b in zip(ys[j], base)] for j in simplex[1:] + [i]]
+            if len(_reduce(rows)[1]) == len(simplex):
+                simplex.append(i)
+                if len(simplex) == r + 1:
+                    break
+        self.inner = [sum(col) for col in zip(*(ys[i] for i in simplex))]
+        simplex.sort()
+        self.boundary = {
+            key: self._facet(key)
+            for key in (tuple(simplex[:j] + simplex[j + 1:]) for j in range(r + 1))
+        }
+        for i in order:
+            self._insert(i)
+
+    def _facet(self, key: tuple[int, ...]) -> Facet:
+        ys, r = self.ys, len(self.axes)
+        base = ys[key[0]]
+        rows = [[a - b for a, b in zip(ys[i], base)] for i in key[1:]]
+        if r == 2:  # the normal is a quarter turn of the edge, or the cross product
+            normal = [-rows[0][1], rows[0][0]]
+        elif r == 3:  # of two edges, either much cheaper than an elimination
+            (a1, a2, a3), (b1, b2, b3) = rows
+            normal = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+        else:
+            normal = _kernel(rows, r)[0]
         offset = sum(a * x for a, x in zip(normal, base))
-        if sum(a * x for a, x in zip(normal, inner)) > (r + 1) * offset:
+        if sum(a * x for a, x in zip(normal, self.inner)) > (r + 1) * offset:
             normal, offset = [-a for a in normal], -offset
         return _primitive(normal, offset)
 
-    simplex.sort()
-    boundary = {
-        key: facet(key) for key in (tuple(simplex[:j] + simplex[j + 1:]) for j in range(r + 1))
-    }
-    for i in order:
-        p = points[i]
+    def _insert(self, i: int) -> None:
+        y, boundary = self.ys[i], self.boundary
         visible = [
             key for key, f in boundary.items()
-            if sum(a * x for a, x in zip(f.normal, p)) > f.offset
+            if sum(a * x for a, x in zip(f.normal, y)) > f.offset
         ]
         if not visible:
-            continue
-        ridges = Counter(key[:j] + key[j + 1:] for key in visible for j in range(r))
+            return
+        ridges = Counter(key[:j] + key[j + 1:] for key in visible for j in range(len(key)))
         for key in visible:
             del boundary[key]
         for ridge, count in ridges.items():
             if count == 1:
                 key = tuple(sorted(ridge + (i,)))
-                boundary[key] = facet(key)
-    normals: dict[int, set[tuple[int, ...]]] = {}
-    for key, f in boundary.items():
-        for i in key:
-            normals.setdefault(i, set()).add(f.normal)
-    extreme = [i for i, ns in normals.items() if len(_reduce(list(ns))[1]) == r]
-    return extreme, set(boundary.values())
+                boundary[key] = self._facet(key)
 
+    def add(self, p: QVec) -> None:
+        """Insert a point of the affine hull that is not one of the points yet."""
+        k = math.lcm(self.scale, *(p[c].denominator for c in self.axes)) // self.scale
+        if k > 1:
+            self.scale *= k
+            self.ys = [tuple(k * c for c in y) for y in self.ys]
+            self.inner = [k * c for c in self.inner]
+            # a facet's normal is coprime already, for b = a.y over integer points
+            self.boundary = {key: f._replace(offset=k * f.offset)
+                             for key, f in self.boundary.items()}
+        self.points.append(p)
+        self.ys.append(tuple(p[c].numerator * (self.scale // p[c].denominator) for c in self.axes))
+        self._insert(len(self.ys) - 1)
 
-def _scaled_hull(unique: Sequence[QVec]) -> tuple[list[int], int, list[int], set[Facet]]:
-    """Pivot axes, integer scale, extreme-point indices and facets of two or more distinct points.
+    def facets(self) -> set[Facet]:
+        """The facets a.y <= b."""
+        return set(self.boundary.values())
 
-    The facets a.y <= b are over y, the pivot coordinates of scale * x.
-    """
-    ints, scale = _integer_rows(unique)
-    _, axes, _ = _reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]])
-    extreme, facets = _hull([tuple(p[c] for c in axes) for p in ints])
-    return axes, scale, extreme, facets
+    def polytope(self) -> Polytope:
+        dim = len(self.points[0])
+        normals: dict[int, set[tuple[int, ...]]] = {}
+        for key, f in self.boundary.items():
+            for i in key:
+                normals.setdefault(i, set()).add(f.normal)
+        r = len(self.axes)
+        vertices = tuple(sorted(
+            self.points[i] for i, ns in normals.items() if len(_reduce(list(ns))[1]) == r
+        ))
+        if r < dim:
+            return Polytope(dim, vertices)
+        # a.(scale x) <= b is (scale a).x <= b
+        facets = sorted(_primitive([self.scale * a for a in f.normal], f.offset)
+                        for f in self.facets())
+        return Polytope(dim, vertices, tuple(facets))
 
 
 def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polytope:
@@ -231,13 +278,59 @@ def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polyto
     unique = sorted(set(qpoints))
     if len(unique) == 1:
         return Polytope(dim, (unique[0],))
-    axes, scale, extreme, facets = _scaled_hull(unique)
-    vertices = tuple(unique[i] for i in sorted(extreme))
-    if len(axes) < dim:
-        return Polytope(dim, vertices)
-    # a.(scale x) <= b is (scale a).x <= b
-    rational = sorted(_primitive([scale * a for a in f.normal], f.offset) for f in facets)
-    return Polytope(dim, vertices, tuple(rational))
+    return _Hull(unique).polytope()
+
+
+def polytope_from_support(
+    support: Callable[[tuple[int, ...]], tuple[tuple[int, ...], int]], dim: int
+) -> Polytope:
+    """The polytope P, as ``convex_hull`` gives it, from its support oracle alone.
+
+    ``support(u)``, for a primitive integer u, returns a point of P where u.x
+    is largest, as an integer vector D and a positive integer T with x = D/T;
+    no direction is asked twice.  The loop is output-sensitive (Emiris,
+    Fisikopoulos, Konaxis and Penaranda 2013).  The points for +-e_i are
+    extended to P's affine hull by asking + and - each normal of their own
+    affine hull until no answer leaves it.  A hull of them then asks each of
+    its facet normals and takes in the answer whenever it lies beyond the
+    facet; every point taken in lies in P, so once no facet is beaten the
+    hull is P.
+    """
+    answers: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+
+    def ask(u: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        g = math.gcd(*u)
+        u = tuple(c // g for c in u)
+        if u not in answers:
+            answers[u] = support(u)
+        return answers[u]
+
+    def point(u: Sequence[int]) -> QVec:
+        d, t = ask(u)
+        return tuple(Fraction(c, t) for c in d)
+
+    found = {point([s * (j == i) for j in range(dim)]): None for i in range(dim) for s in (1, -1)}
+    normals, flat = _affine_normals(list(found)), None
+    while normals and len(normals) != flat:
+        for normal in normals:
+            for sign in (1, -1):
+                found.setdefault(point([sign * a for a in normal]))
+        flat, normals = len(normals), _affine_normals(list(found))
+    if len(normals) == dim:
+        return Polytope(dim, tuple(found))
+    hull, confirmed = _Hull(list(found)), set()
+    while True:
+        for f in hull.facets() - confirmed:
+            normal = [0] * dim
+            for a, c in zip(f.normal, hull.axes):
+                normal[c] = a
+            d, t = ask(normal)
+            if sum(map(mul, normal, d)) * hull.scale > f.offset * t:
+                hull.add(tuple(Fraction(c, t) for c in d))
+                break
+            confirmed.add(f)
+        else:
+            return hull.polytope()
 
 
 def hull_ring_2d(p: Polytope) -> tuple[QVec, ...]:
@@ -312,8 +405,9 @@ def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
         points = sorted(set(p.vertices) | {(_ZERO,) * p.dim})
         if affine_dimension(points + [q]) > affine_dimension(points):
             return None
-        axes, scale, _, facets = _scaled_hull(points)
-        y = tuple(scale * q[c] for c in axes)
+        hull = _Hull(points)
+        facets = hull.facets()
+        y = tuple(hull.scale * q[c] for c in hull.axes)
     gauge = _ZERO
     for f in facets:
         ay = sum(a * c for a, c in zip(f.normal, y))

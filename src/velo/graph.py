@@ -72,6 +72,12 @@ class DisplacementGraph:
         return self._out[v]
 
     @cached_property
+    def _sccs(self) -> tuple[tuple[int, ...], ...]:
+        succ = [sorted({self.edges[eid].target for eid in out}) for out in self._out]
+        comps = _tarjan(range(len(self.vertices)), succ.__getitem__)
+        return tuple(sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0]))
+
+    @cached_property
     def max_displacement_norm(self) -> int:
         """Largest infinity norm of any edge displacement (0 for an edgeless graph)."""
         return max((inf_norm(e.displacement) for e in self.edges), default=0)
@@ -213,10 +219,11 @@ def _tarjan(vertices: Sequence[int], successors: Callable[[int], Iterable[int]])
 
 
 def strongly_connected_components(g: DisplacementGraph) -> tuple[tuple[int, ...], ...]:
-    """SCCs of the quotient graph as sorted vertex-index tuples, ordered by smallest member."""
-    succ = [sorted({g.edges[eid].target for eid in g.out_edges(v)}) for v in range(len(g.vertices))]
-    comps = _tarjan(range(len(g.vertices)), lambda v: succ[v])
-    return tuple(sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0]))
+    """SCCs of the quotient graph as sorted vertex-index tuples, ordered by smallest member.
+
+    Computed once per graph and kept on it, like its out-edge lists.
+    """
+    return g._sccs
 
 
 class Contraction(NamedTuple):

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .cycles import (
     DEFAULT_MAX_CYCLES,
@@ -12,9 +13,10 @@ from .cycles import (
     _velocities,
     enumerate_cycles,
     least_first,
+    max_ratio_cycle,
 )
 from .errors import NotStronglyConnectedError
-from .geometry import Polytope, _holds_origin_inside, convex_hull
+from .geometry import Polytope, _holds_origin_inside, convex_hull, polytope_from_support
 from .graph import (
     Contraction,
     DisplacementGraph,
@@ -27,6 +29,8 @@ from .intlattice import lattice_rank_and_index
 VERDICT_STRONG = "StronglyConnectedPeriodic"
 VERDICT_QUOTIENT = "QuotientConnectedOnly"
 VERDICT_DISCONNECTED = "Disconnected"
+
+DEFAULT_ORACLE_BUDGET = 1_000_000  # relaxations per support query
 
 
 @dataclass(frozen=True)
@@ -60,19 +64,32 @@ class VelocitySet:
 class GraphAnalysis:
     """The invariants of one graph, each computed lazily and at most once.
 
-    Every field builds on the one before.  First every chain (a path through
-    vertices of in-degree 1 and out-degree 1) is folded into one edge; the
-    result is ``core``, which is the graph itself when nothing folds.  The
-    simple cycles of ``core`` are enumerated once, so the cycle budget counts
-    the cycles of the whole graph.  They are reduced to their distinct
-    (displacement, length) pairs per strongly connected component, then to
-    velocities, per-component polytopes and the connectivity verdict.  Only
-    ``cycles`` maps them back to the graph's own edge ids.
+    First every chain (a path through vertices of in-degree 1 and out-degree 1)
+    is folded into one edge; the result is ``core``, which is the graph itself
+    when nothing folds, and everything below is computed on it.  Each strongly
+    connected component of ``core`` gets its velocity polytope from a support
+    oracle without listing a cycle: h(u) is the largest ratio u.d / length
+    over its simple cycles (``max_ratio_cycle``), and
+    ``polytope_from_support`` asks it as many directions as the polytope
+    has facets, and a few more.  The verdict takes its lattice from spanning-tree
+    generators and its cone from those polytopes.  Only ``cycles``,
+    ``cycle_count``, ``cycle_pairs`` and ``velocities``, whose values are the
+    cycles themselves or need every one, enumerate the simple cycles: once,
+    against the cycle budget, and only ``cycles`` maps them back to the
+    graph's own edge ids.  The oracle budget bounds the relaxations of each
+    support query.
     """
 
-    def __init__(self, g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> None:
+    def __init__(
+        self,
+        g: DisplacementGraph,
+        *,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
+        oracle_budget: int = DEFAULT_ORACLE_BUDGET,
+    ) -> None:
         self.graph = g
         self.max_cycles = max_cycles
+        self.oracle_budget = oracle_budget
 
     @cached_property
     def _contraction(self) -> Contraction | None:
@@ -85,20 +102,26 @@ class GraphAnalysis:
         return self.graph if c is None else c.graph
 
     @cached_property
+    def _core_sccs(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """The SCCs of ``core`` and the SCC index of each of its vertices."""
+        comps = strongly_connected_components(self.core)
+        comp_of = [0] * len(self.core.vertices)
+        for k, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = k
+        return comps, comp_of
+
+    @cached_property
     def sccs(self) -> tuple[tuple[int, ...], ...]:
         """SCCs of the graph, as ``strongly_connected_components`` orders them.
 
         A chain vertex joins its folded edge's component when both ends lie in
         it, and is a component of its own otherwise.
         """
-        comps = strongly_connected_components(self.core)
+        comps, comp_of = self._core_sccs
         c = self._contraction
         if c is None:
             return comps
-        comp_of = [0] * len(c.kept)
-        for comp_id, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = comp_id
         members = [[c.kept[v] for v in comp] for comp in comps]
         edges = self.graph.edges
         for e, path in zip(c.graph.edges, c.chains):
@@ -116,6 +139,12 @@ class GraphAnalysis:
             for v in comp:
                 membership[v] = comp_id
         return tuple(membership)
+
+    @cached_property
+    def _lengths(self) -> list[int]:
+        """How many of the graph's edges each edge of ``core`` stands for."""
+        c = self._contraction
+        return [1] * len(self.core.edges) if c is None else [len(p) for p in c.chains]
 
     @cached_property
     def _core_cycles(self) -> tuple[Cycle, ...]:
@@ -137,37 +166,52 @@ class GraphAnalysis:
         ))
 
     @cached_property
-    def cycle_pairs(self) -> dict[int, set[tuple[IntVec, int]]]:
-        """Distinct (displacement, length) pairs of the simple cycles, keyed by component id.
-
-        A cycle lies inside one component, that of its first edge's source.
-        """
-        core, c = self.core, self._contraction
-        disps = [e.displacement for e in core.edges]
-        if c is None:
-            kept, length = range(len(core.vertices)), len
-        else:
-            sizes = [len(p) for p in c.chains]
-            kept, length = c.kept, (lambda path: sum(map(sizes.__getitem__, path)))
-        edge_scc = [self.scc_membership[kept[e.source]] for e in core.edges]
-        pairs: dict[int, set[tuple[IntVec, int]]] = {}
-        for cycle in self._core_cycles:
-            path = cycle.edges
-            pair = (_displacement_sum(disps, path), length(path))
-            pairs.setdefault(edge_scc[path[0]], set()).add(pair)
-        return dict(sorted(pairs.items()))
+    def cycle_pairs(self) -> set[tuple[IntVec, int]]:
+        """Distinct (displacement, length) pairs of the simple cycles."""
+        disps, lengths = [e.displacement for e in self.core.edges], self._lengths
+        return {(_displacement_sum(disps, cycle.edges), sum(lengths[j] for j in cycle.edges))
+                for cycle in self._core_cycles}
 
     @cached_property
     def velocities(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basic velocities: distinct displacement per step of the simple cycles, sorted."""
-        return _velocities(p for pairs in self.cycle_pairs.values() for p in pairs)
+        return _velocities(self.cycle_pairs)
+
+    @cached_property
+    def _pieces(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
+        """(component id, core vertices, ids of the core edges inside) of every
+        component of ``core`` with an edge inside, that is, with a cycle."""
+        comps, comp_of = self._core_sccs
+        inside: list[list[int]] = [[] for _ in comps]
+        for eid, (s, t, _) in enumerate(self.core.edges):
+            if comp_of[s] == comp_of[t]:
+                inside[comp_of[s]].append(eid)
+        kept = self._contraction.kept if self._contraction else range(len(comp_of))
+        return tuple(sorted((self.scc_membership[kept[comp[0]]], comp, eids)
+                            for comp, eids in zip(comps, inside) if eids))
+
+    def _support(self, comp: tuple[int, ...], inside: list[int]):
+        """The support function of one component's velocity polytope."""
+        local = {v: i for i, v in enumerate(comp)}
+        edges = [self.core.edges[eid] for eid in inside]
+        arcs = [(local[e.source], local[e.target]) for e in edges]
+        disps = [e.displacement for e in edges]
+        lengths = [self._lengths[eid] for eid in inside]
+        where = ",".join(self.core.vertices[v] for v in comp)
+
+        def support(u: tuple[int, ...]) -> tuple[IntVec, int]:
+            weights = [sum(map(mul, u, d)) for d in disps]
+            cycle = max_ratio_cycle(arcs, weights, lengths, self.oracle_budget, where)
+            return _displacement_sum(disps, cycle), sum(lengths[a] for a in cycle)
+
+        return support
 
     @cached_property
     def components(self) -> tuple[tuple[int, Polytope], ...]:
         """(component id, velocity polytope) for every component that has a cycle."""
         return tuple(
-            (comp_id, convex_hull(_velocities(pairs), dim=self.graph.dim))
-            for comp_id, pairs in self.cycle_pairs.items()
+            (comp_id, polytope_from_support(self._support(comp, inside), self.graph.dim))
+            for comp_id, comp, inside in self._pieces
         )
 
     @cached_property
@@ -181,6 +225,28 @@ class GraphAnalysis:
         return self.components[0][1] if self.components else Polytope(self.graph.dim, ())
 
     @cached_property
+    def _cycle_generators(self) -> list[IntVec]:
+        """Vectors spanning the lattice of cycle displacements: d(e) + p(source)
+        - p(target) over the edges inside each component, p summed along a
+        spanning tree.  They span it because in a strongly connected graph the
+        cycles span the integer cycle space: f = (f + N c) - N c for a positive
+        circulation c and N large."""
+        core, rows = self.core, set()
+        for _, comp, inside in self._pieces:
+            edges = set(inside)
+            potential, tree = {comp[0]: (0,) * core.dim}, [comp[0]]
+            for v in tree:  # grows while it is read: a breadth-first tree
+                for eid in core.out_edges(v):
+                    s, t, d = core.edges[eid]
+                    if eid in edges and t not in potential:
+                        potential[t] = tuple(map(sum, zip(potential[s], d)))
+                        tree.append(t)
+            for eid in inside:
+                s, t, d = core.edges[eid]
+                rows.add(tuple(a + b - c for a, b, c in zip(d, potential[s], potential[t])))
+        return sorted(rows)
+
+    @cached_property
     def report(self) -> ConnectivityReport:
         """The connectivity verdict.
 
@@ -191,8 +257,7 @@ class GraphAnalysis:
         vertices decide it; one component's polytope already is that hull.
         """
         g = self.graph
-        displacements = sorted({d for pairs in self.cycle_pairs.values() for d, _ in pairs})
-        rank, index = lattice_rank_and_index(displacements, g.dim)
+        rank, index = lattice_rank_and_index(self._cycle_generators, g.dim)
         if len(self.components) == 1:
             hull = self.components[0][1]
         else:
@@ -215,20 +280,21 @@ class GraphAnalysis:
 
 
 def connectivity_report(
-    g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES
+    g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET
 ) -> ConnectivityReport:
-    return GraphAnalysis(g, max_cycles=max_cycles).report
+    return GraphAnalysis(g, oracle_budget=budget).report
 
 
-def velocity_polytope(g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> Polytope:
+def velocity_polytope(g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET) -> Polytope:
     """Convex hull of the basic velocities of a strongly connected quotient.
 
     A graph without cycles yields the empty polytope: no infinite trajectory
-    exists at all, so there is no velocity to speak of.
+    exists at all, so there is no velocity to speak of.  ``budget`` bounds the
+    support oracle's relaxations.
     """
-    return GraphAnalysis(g, max_cycles=max_cycles).polytope
+    return GraphAnalysis(g, oracle_budget=budget).polytope
 
 
-def velocity_set(g: DisplacementGraph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> VelocitySet:
+def velocity_set(g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET) -> VelocitySet:
     """Per-component velocity polytopes; components without cycles are omitted."""
-    return VelocitySet(g.dim, GraphAnalysis(g, max_cycles=max_cycles).components)
+    return VelocitySet(g.dim, GraphAnalysis(g, oracle_budget=budget).components)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 
-from .cycles import DEFAULT_MAX_CYCLES
 from .errors import BudgetError
 from .geometry import Polytope, convex_hull
 from .graph import DisplacementGraph, Edge
-from .invariants import velocity_polytope
+from .invariants import DEFAULT_ORACLE_BUDGET, velocity_polytope
 
 DEFAULT_REALIZE_BUDGET = 5_000_000
 
@@ -41,7 +40,7 @@ def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> Displacemen
     return DisplacementGraph(p.dim, vertices, tuple(edges))
 
 
-def roundtrip_check(p: Polytope, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> bool:
+def roundtrip_check(p: Polytope, *, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
     """True iff the realized graph's velocity polytope has the input's (canonical) hull vertices."""
-    back = velocity_polytope(realize(p), max_cycles=max_cycles)
+    back = velocity_polytope(realize(p), budget=budget)
     return back.vertices == convex_hull(p.vertices, dim=p.dim).vertices

@@ -134,3 +134,18 @@ def random_rational_points(
         tuple(F(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(dim))
         for _ in range(count)
     ]
+
+
+def subdivide(g: DisplacementGraph, cuts: dict[int, int]) -> DisplacementGraph:
+    """Replace edge eid by a path through ``cuts[eid]`` new vertices; its
+    displacement stays on the path's first edge."""
+    names = list(g.vertices)
+    edges = []
+    for eid, e in enumerate(g.edges):
+        source = e.source
+        for _ in range(cuts.get(eid, 0)):
+            names.append(f"c{len(names)}")
+            edges.append(Edge(source, len(names) - 1, e.displacement))
+            source, e = len(names) - 1, e._replace(displacement=(0,) * g.dim)
+        edges.append(Edge(source, e.target, e.displacement))
+    return DisplacementGraph(g.dim, tuple(names), tuple(edges))

@@ -465,8 +465,13 @@ def two_honeycombs(tmp_path):
 
 @pytest.mark.parametrize("command", [["polytope"], ["report"], ["report", "--json"]])
 def test_cycle_budget_counts_the_whole_graph(two_honeycombs, command, capsys, monkeypatch):
+    argv = [command[0], two_honeycombs, *command[1:]]
+    unbudgeted = run_cli(argv, capsys)
     monkeypatch.setenv("VELO_BUDGET", "12")  # each component fits, the 18 cycles do not
-    code, out, err = run_cli([command[0], two_honeycombs, *command[1:]], capsys)
+    code, out, err = run_cli(argv, capsys)
+    if command == ["polytope"]:  # the support oracle lists no cycle
+        assert (code, out, err) == unbudgeted and code == 0
+        return
     assert code == 2
     assert out == ""
     assert err == "error: cycle budget of 12 exceeded while exploring component {A,B}\n"
@@ -498,27 +503,27 @@ def test_one_enumeration_per_graph_argument(
             monkeypatch.setattr(module, "enumerate_cycles", counting)
 
     hc = fixture_files["honeycomb"]
-    # expected calls and exit code; on the two-component graph, anisotropy and
-    # the polytope of a morphism's source stop at the component count, before
-    # any cycle is needed
+    # expected calls and exit code; only the commands whose output needs every
+    # cycle (cycles, report, simulate) enumerate, and the others take their
+    # polytopes and verdicts from the support oracle
     cases = [
         (["cycles", hc], 1, 0),
-        (["polytope", hc], 1, 0),
+        (["polytope", hc], 0, 0),
         (["report", hc], 1, 0),
         (["report", hc, "--json"], 1, 0),
-        (["norm", hc, "1", "0"], 1, 0),
+        (["norm", hc, "1", "0"], 0, 0),
         (["simulate", hc, "--weights", "1/2,1/2", "--kmax", "8"], 1, 0),
-        (["anisotropy", hc], 1, 0),
-        (["check-morphism", hc, fixture_files["square"]], 2, 0),
+        (["anisotropy", hc], 0, 0),
+        (["check-morphism", hc, fixture_files["square"]], 0, 0),
         (["cycles", two_honeycombs], 1, 0),
-        (["polytope", two_honeycombs], 1, 0),
+        (["polytope", two_honeycombs], 0, 0),
         (["report", two_honeycombs], 1, 0),
         (["report", two_honeycombs, "--json"], 1, 0),
-        (["norm", two_honeycombs, "1", "0"], 1, 3),
+        (["norm", two_honeycombs, "1", "0"], 0, 3),
         (["simulate", two_honeycombs, "--weights", "1", "--kmax", "8"], 1, 3),
         (["anisotropy", two_honeycombs], 0, 3),
         (["check-morphism", two_honeycombs, hc], 0, 3),
-        (["polytope", realized_ring, "--json"], 1, 0),
+        (["polytope", realized_ring, "--json"], 0, 0),
         (["cycles", realized_ring], 1, 0),
     ]
     for args, expected_calls, expected_code in cases:
@@ -657,12 +662,54 @@ facet 3 1 <= 1
 def test_cycle_budget_on_chains_names_graph_vertices(chain_files, command, capsys, monkeypatch):
     # the budget trips at the same count as without folding: 7 cycles fit, 6 do not
     monkeypatch.setenv("VELO_BUDGET", "7")
-    assert run_cli([command, chain_files["comps"]], capsys)[0] == 0
+    fits = run_cli([command, chain_files["comps"]], capsys)
+    assert fits[0] == 0
     monkeypatch.setenv("VELO_BUDGET", "6")
     code, out, err = run_cli([command, chain_files["comps"]], capsys)
+    if command == "polytope":  # the support oracle lists no cycle
+        assert (code, out, err) == fits
+        return
     assert (code, out) == (2, "")
     # M is folded into the edge A -> B, so the component is named by A and B
     assert err == "error: cycle budget of 6 exceeded while exploring component {A,B}\n"
+
+
+@pytest.mark.parametrize("command", [["polytope"], ["norm", "1", "0"], ["anisotropy"]])
+def test_oracle_budget(chain_files, command, capsys, monkeypatch):
+    # one support query on this graph raises distances four times, the others at most three
+    argv = [command[0], chain_files["hc"], *command[1:]]
+    monkeypatch.setenv("VELO_BUDGET", "4")
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setenv("VELO_BUDGET", "3")
+    assert run_cli(argv, capsys) == (2, "", (
+        "error: oracle budget of 3 relaxations exceeded: "
+        "a support query made 4 in component {A,B}\n"
+    ))
+
+
+def test_report_counts_cycles_before_asking_the_oracle(chain_files, capsys, monkeypatch):
+    monkeypatch.setenv("VELO_BUDGET", "3")  # both the 9 cycles and a support query exceed it
+    assert run_cli(["report", chain_files["hc"]], capsys) == (
+        2, "", "error: cycle budget of 3 exceeded while exploring component {A,B}\n"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--weights", "1/2,1/2", "--kmax", "8"], ["norm", "1", "0", "--oracle"]
+])
+def test_one_scc_search_per_graph(fixture_files, command, capsys, monkeypatch):
+    import velo.graph
+
+    original, calls = velo.graph._tarjan, []
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(velo.graph, "_tarjan", counting)
+    code, _, _ = run_cli([command[0], fixture_files["honeycomb"], *command[1:]], capsys)
+    # the plan's and the BFS oracle's connectivity checks reuse the analysis's components
+    assert (code, len(calls)) == (0, 1)
 
 
 def test_usage_error_exit_code(capsys):

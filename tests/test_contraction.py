@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import random_graph
+from helpers import random_graph, subdivide
 from oracles import brute_cycles
 from velo import (
     BudgetError,
@@ -28,21 +28,6 @@ class Uncontracted(GraphAnalysis):
     """The analysis run on the graph itself, every chain left in place."""
 
     _contraction = None
-
-
-def subdivide(g: DisplacementGraph, cuts: dict[int, int]) -> DisplacementGraph:
-    """Replace edge eid by a path through ``cuts[eid]`` new vertices; its
-    displacement stays on the path's first edge."""
-    names = list(g.vertices)
-    edges = []
-    for eid, e in enumerate(g.edges):
-        source = e.source
-        for _ in range(cuts.get(eid, 0)):
-            names.append(f"c{len(names)}")
-            edges.append(Edge(source, len(names) - 1, e.displacement))
-            source, e = len(names) - 1, e._replace(displacement=(0,) * g.dim)
-        edges.append(Edge(source, e.target, e.displacement))
-    return DisplacementGraph(g.dim, tuple(names), tuple(edges))
 
 
 @st.composite
@@ -140,6 +125,7 @@ def test_realized_ring_is_contracted_before_any_cycle_work(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     spy(velo.invariants, "enumerate_cycles")
+    spy(velo.invariants, "max_ratio_cycle")
     spy(velo.graph, "_tarjan")
     spy(velo.cycles, "_tarjan")
     # denominators 8, 9, 5 and 7: a ring of lcm 2,520 vertices
@@ -153,6 +139,11 @@ def test_realized_ring_is_contracted_before_any_cycle_work(monkeypatch):
     # the polytope's closing edges join back to the first
     core = an.core
     assert len(core.vertices) == 2 and len(core.edges) == len(p.vertices) + 1
+    # the support oracle sees the core's arcs between its two vertices, and no cycle is listed
+    queries = [arg for name, arg in seen if name == "max_ratio_cycle"]
+    assert queries and all(sorted(arcs) == sorted(e[:2] for e in core.edges) for arcs in queries)
+    assert not [arg for name, arg in seen if name == "enumerate_cycles"]
+    assert len(an.cycles) == len(p.vertices)
     assert [arg for name, arg in seen if name == "enumerate_cycles"] == [core]
     tarjans = [len(arg) for name, arg in seen if name == "_tarjan"]
     assert tarjans and max(tarjans) <= len(core.vertices)
