@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import BudgetError
-from .graph import DisplacementGraph, IntVec, _tarjan
+from .graph import DisplacementGraph, IntVec, _tarjan, strongly_connected_components
 
 Path = tuple[int, ...]
 
@@ -204,8 +204,7 @@ def enumerate_cycles(
         [(eid, g.edges[eid].target) for eid in g.out_edges(v) if g.edges[eid].target != v]
         for v in range(len(g.vertices))
     ]
-    comps = _tarjan(range(len(g.vertices)), lambda v: [w for _, w in adj[v]])
-    stack = sorted((tuple(sorted(c)) for c in comps if len(c) >= 2), key=lambda c: c[0])
+    stack = [c for c in strongly_connected_components(g) if len(c) >= 2]
     while stack:
         comp = stack.pop()
         comp_set = set(comp)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, UnreachableError
 
@@ -72,10 +72,32 @@ class DisplacementGraph:
         return self._out[v]
 
     @cached_property
+    def _contraction(self) -> Contraction | None:
+        return contract_chains(self)
+
+    @cached_property
     def _sccs(self) -> tuple[tuple[int, ...], ...]:
-        succ = [sorted({self.edges[eid].target for eid in out}) for out in self._out]
-        comps = _tarjan(range(len(self.vertices)), succ.__getitem__)
-        return tuple(sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0]))
+        """Tarjan runs on the folded core only (which folds no further: it has no
+        chain vertex).  A chain vertex joins its folded edge's component when both
+        ends lie in it, and is a component of its own otherwise."""
+        c = self._contraction
+        if c is None:
+            succ = [sorted({self.edges[eid].target for eid in out}) for out in self._out]
+            members = _tarjan(range(len(self.vertices)), succ.__getitem__)
+        else:
+            comps = c.graph._sccs
+            comp_of = [0] * len(c.kept)
+            for k, comp in enumerate(comps):
+                for v in comp:
+                    comp_of[v] = k
+            members = [[c.kept[v] for v in comp] for comp in comps]
+            for e, path in zip(c.graph.edges, c.chains):
+                inner = [self.edges[eid].source for eid in path[1:]]
+                if comp_of[e.source] == comp_of[e.target]:
+                    members[comp_of[e.source]].extend(inner)
+                else:
+                    members.extend([v] for v in inner)
+        return tuple(sorted((tuple(sorted(m)) for m in members), key=lambda m: m[0]))
 
     @cached_property
     def max_displacement_norm(self) -> int:
@@ -221,7 +243,8 @@ def _tarjan(vertices: Sequence[int], successors: Callable[[int], Iterable[int]])
 def strongly_connected_components(g: DisplacementGraph) -> tuple[tuple[int, ...], ...]:
     """SCCs of the quotient graph as sorted vertex-index tuples, ordered by smallest member.
 
-    Computed once per graph and kept on it, like its out-edge lists.
+    Computed once per graph, on its chain-folded core, and kept on it, like
+    its out-edge lists.
     """
     return g._sccs
 
@@ -319,11 +342,9 @@ class UnrolledPatch:
     """Finite window of the periodic unrolling of a displacement graph.
 
     Contains every node (v, x) with max-norm of x at most ``radius``; edges
-    whose translated target falls outside the window are omitted.  Nodes are
-    addressed by a dense integer id, vertex index slowest (``node_id``,
-    ``node_at``, ``neighbors``), so that the patch never materialises
-    adjacency lists.  ``bfs_distance`` reads only the graph and the radius and
-    numbers the nodes in its own padded layout.
+    whose translated target falls outside the window are omitted.  The patch
+    holds only the graph and the radius and never materialises a node or an
+    adjacency list: ``bfs_distance`` numbers the nodes in its own padded layout.
     """
 
     graph: DisplacementGraph
@@ -344,44 +365,6 @@ class UnrolledPatch:
         if len(coords) != self.graph.dim:
             return False
         return all(-self.radius <= c <= self.radius for c in coords)
-
-    def node_id(self, node: tuple[int, Sequence[int]]) -> int:
-        if not self.contains(node):
-            raise ValueError(f"node {node!r} is outside the patch")
-        v, coords = node
-        nid = v
-        for c in coords:
-            nid = nid * self.window + (c + self.radius)
-        return nid
-
-    def node_at(self, nid: int) -> tuple[int, IntVec]:
-        coords = []
-        for _ in range(self.graph.dim):
-            nid, rem = divmod(nid, self.window)
-            coords.append(rem - self.radius)
-        coords.reverse()
-        return nid, tuple(coords)
-
-    def neighbors(self, nid: int) -> Iterator[int]:
-        """Ids of in-window out-neighbors, in edge-id order."""
-        v, coords = self.node_at(nid)
-        r, w = self.radius, self.window
-        for eid in self.graph.out_edges(v):
-            e = self.graph.edges[eid]
-            ok = True
-            tid = e.target
-            for c, d in zip(coords, e.displacement):
-                t = c + d
-                if t < -r or t > r:
-                    ok = False
-                    break
-                tid = tid * w + (t + r)
-            if ok:
-                yield tid
-
-    def nodes(self) -> Iterator[tuple[int, IntVec]]:
-        for nid in range(self.vertex_count):
-            yield self.node_at(nid)
 
 
 def unroll(

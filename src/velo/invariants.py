@@ -17,13 +17,7 @@ from .cycles import (
 )
 from .errors import NotStronglyConnectedError
 from .geometry import Polytope, _holds_origin_inside, convex_hull, polytope_from_support
-from .graph import (
-    Contraction,
-    DisplacementGraph,
-    IntVec,
-    contract_chains,
-    strongly_connected_components,
-)
+from .graph import Contraction, DisplacementGraph, IntVec, strongly_connected_components
 from .intlattice import lattice_rank_and_index
 
 VERDICT_STRONG = "StronglyConnectedPeriodic"
@@ -64,10 +58,11 @@ class VelocitySet:
 class GraphAnalysis:
     """The invariants of one graph, each computed lazily and at most once.
 
-    First every chain (a path through vertices of in-degree 1 and out-degree 1)
-    is folded into one edge; the result is ``core``, which is the graph itself
-    when nothing folds, and everything below is computed on it.  Each strongly
-    connected component of ``core`` gets its velocity polytope from a support
+    The graph folds every chain (a path through vertices of in-degree 1 and
+    out-degree 1) into one edge once and keeps the result, with its strongly
+    connected components, for every caller.  That fold is ``core``, which is
+    the graph itself when nothing folds, and everything below is computed on
+    it.  Each strongly connected component of ``core`` gets its velocity polytope from a support
     oracle without listing a cycle: h(u) is the largest ratio u.d / length
     over its simple cycles (``max_ratio_cycle``), and
     ``polytope_from_support`` asks it as many directions as the polytope
@@ -93,7 +88,7 @@ class GraphAnalysis:
 
     @cached_property
     def _contraction(self) -> Contraction | None:
-        return contract_chains(self.graph)
+        return self.graph._contraction
 
     @cached_property
     def core(self) -> DisplacementGraph:
@@ -102,35 +97,8 @@ class GraphAnalysis:
         return self.graph if c is None else c.graph
 
     @cached_property
-    def _core_sccs(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        """The SCCs of ``core`` and the SCC index of each of its vertices."""
-        comps = strongly_connected_components(self.core)
-        comp_of = [0] * len(self.core.vertices)
-        for k, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = k
-        return comps, comp_of
-
-    @cached_property
     def sccs(self) -> tuple[tuple[int, ...], ...]:
-        """SCCs of the graph, as ``strongly_connected_components`` orders them.
-
-        A chain vertex joins its folded edge's component when both ends lie in
-        it, and is a component of its own otherwise.
-        """
-        comps, comp_of = self._core_sccs
-        c = self._contraction
-        if c is None:
-            return comps
-        members = [[c.kept[v] for v in comp] for comp in comps]
-        edges = self.graph.edges
-        for e, path in zip(c.graph.edges, c.chains):
-            inner = [edges[eid].source for eid in path[1:]]
-            if comp_of[e.source] == comp_of[e.target]:
-                members[comp_of[e.source]].extend(inner)
-            else:
-                members.extend([v] for v in inner)
-        return tuple(sorted((tuple(sorted(m)) for m in members), key=lambda m: m[0]))
+        return strongly_connected_components(self.graph)
 
     @cached_property
     def scc_membership(self) -> tuple[int, ...]:
@@ -181,14 +149,17 @@ class GraphAnalysis:
     def _pieces(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
         """(component id, core vertices, ids of the core edges inside) of every
         component of ``core`` with an edge inside, that is, with a cycle."""
-        comps, comp_of = self._core_sccs
+        kept = self._contraction.kept if self._contraction else range(len(self.core.vertices))
+        comp_of = [self.scc_membership[v] for v in kept]
+        comps: list[list[int]] = [[] for _ in self.sccs]
+        for v, k in enumerate(comp_of):
+            comps[k].append(v)
         inside: list[list[int]] = [[] for _ in comps]
         for eid, (s, t, _) in enumerate(self.core.edges):
             if comp_of[s] == comp_of[t]:
                 inside[comp_of[s]].append(eid)
-        kept = self._contraction.kept if self._contraction else range(len(comp_of))
-        return tuple(sorted((self.scc_membership[kept[comp[0]]], comp, eids)
-                            for comp, eids in zip(comps, inside) if eids))
+        return tuple((k, tuple(comp), eids)
+                     for k, (comp, eids) in enumerate(zip(comps, inside)) if eids)
 
     def _support(self, comp: tuple[int, ...], inside: list[int]):
         """The support function of one component's velocity polytope."""

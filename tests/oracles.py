@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the production algorithms.
 
 Nothing here shares code paths with the library: cycles come from plain DFS,
-window distances from a BFS over (vertex, coordinates) tuples, and membership,
+strongly connected components from mutual reachability, window distances
+from a BFS over (vertex, coordinates) tuples, and membership,
 gauge values and facets come from enumerating small point subsets and solving
 exact linear systems, never from the simplex solver or the hull.
 """
@@ -14,11 +15,11 @@ from itertools import combinations
 from typing import Sequence
 
 from velo import DisplacementGraph
-from velo.cycles import canonical_rotation
 
 
 def brute_cycles(g: DisplacementGraph) -> list[tuple[int, ...]]:
-    """Every simple cycle by exhaustive DFS, canonicalized; for tiny graphs only."""
+    """Every simple cycle by exhaustive DFS, as its lexicographically least rotation;
+    for tiny graphs only."""
     out: list[list[int]] = [[] for _ in g.vertices]
     for eid, e in enumerate(g.edges):
         out[e.source].append(eid)
@@ -28,7 +29,7 @@ def brute_cycles(g: DisplacementGraph) -> list[tuple[int, ...]]:
         last = g.edges[path[-1]]
         start = g.edges[path[0]].source
         if last.target == start:
-            found.add(canonical_rotation(tuple(path)))
+            found.add(min(tuple(path[i:] + path[:i]) for i in range(len(path))))
             return
         if last.target in visited or len(path) >= len(g.vertices):
             return
@@ -38,6 +39,23 @@ def brute_cycles(g: DisplacementGraph) -> list[tuple[int, ...]]:
     for eid in range(len(g.edges)):
         extend([eid], frozenset({g.edges[eid].source}))
     return sorted(found)
+
+
+def brute_sccs(g: DisplacementGraph) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components as the classes of mutual reachability,
+    each sorted, ordered by smallest member."""
+    reach = []
+    for v in range(len(g.vertices)):
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for e in g.edges:
+                if e.source == u and e.target not in seen:
+                    seen.add(e.target)
+                    todo.append(e.target)
+        reach.append(seen)
+    return tuple(sorted({tuple(w for w in sorted(reach[v]) if v in reach[w])
+                         for v in range(len(g.vertices))}))
 
 
 def bfs_window(

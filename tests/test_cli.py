@@ -695,21 +695,27 @@ def test_report_counts_cycles_before_asking_the_oracle(chain_files, capsys, monk
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate", "--weights", "1/2,1/2", "--kmax", "8"], ["norm", "1", "0", "--oracle"]
+    ["simulate", "--weights", "1/2,1/2", "--kmax", "24"], ["norm", "1", "0", "--oracle"]
 ])
-def test_one_scc_search_per_graph(fixture_files, command, capsys, monkeypatch):
+def test_one_scc_search_per_graph(fixture_files, tmp_path, command, capsys, monkeypatch):
     import velo.graph
 
+    # a strongly connected realized ring of 12 vertices, which folds to a core of 2
+    ring = realize(convex_hull([(F(1, 4), F(0)), (F(0), F(1, 3)), (F(-1, 6), F(-1, 4))]))
+    (tmp_path / "ring.dgf").write_text(serialize_dgf(ring))
     original, calls = velo.graph._tarjan, []
 
     def counting(*args):
-        calls.append(args[0])
+        calls.append(len(args[0]))
         return original(*args)
 
     monkeypatch.setattr(velo.graph, "_tarjan", counting)
-    code, _, _ = run_cli([command[0], fixture_files["honeycomb"], *command[1:]], capsys)
-    # the plan's and the BFS oracle's connectivity checks reuse the analysis's components
-    assert (code, len(calls)) == (0, 1)
+    for path in (fixture_files["honeycomb"], str(tmp_path / "ring.dgf")):
+        calls.clear()
+        code, _, _ = run_cli([command[0], path, *command[1:]], capsys)
+        # the plan's and the BFS oracle's connectivity checks reuse the analysis's
+        # components, which one Tarjan run finds on the 2 vertices of the folded core
+        assert (code, calls) == (0, [2])
 
 
 def test_usage_error_exit_code(capsys):

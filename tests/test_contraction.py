@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import random_graph, subdivide
-from oracles import brute_cycles
+from oracles import brute_cycles, brute_sccs
 from velo import (
     BudgetError,
     DisplacementGraph,
@@ -55,6 +55,7 @@ CHAIN_INTO_SELF_LOOP = graph(
 )
 # b and c hang off the cycle a-a and end at the sink d
 DANGLING_CHAIN = graph(1, "abcd", (0, 0, (1,)), (0, 1, (0,)), (1, 2, (0,)), (2, 3, (0,)))
+RING_OF_12 = realize(convex_hull([(F(1, 4),), (F(-1, 6),)]))  # a ring of 12 and two closing edges
 
 
 @given(chained_graphs())
@@ -62,19 +63,32 @@ DANGLING_CHAIN = graph(1, "abcd", (0, 0, (1,)), (0, 1, (0,)), (1, 2, (0,)), (2, 
 @example(CHAIN_BETWEEN_SCCS)
 @example(CHAIN_INTO_SELF_LOOP)
 @example(DANGLING_CHAIN)
-@example(realize(convex_hull([(F(1, 4),), (F(-1, 6),)])))  # a ring of 12 and two closing edges
+@example(RING_OF_12)
 def test_contraction_matches_the_graph_itself(g):
     an, ref = GraphAnalysis(g), Uncontracted(g)
     assert ref.core is g
     cycles = brute_cycles(g)
     assert [c.edges for c in an.cycles] == cycles
     assert an.cycle_count == len(cycles)
-    assert an.sccs == strongly_connected_components(g)
+    assert an.sccs == brute_sccs(g)
     assert an.scc_membership == ref.scc_membership
     assert an.cycle_pairs == ref.cycle_pairs
     assert an.velocities == ref.velocities
     assert an.components == ref.components
     assert an.report == ref.report
+
+
+@given(chained_graphs())
+@example(PURE_RING)
+@example(CHAIN_BETWEEN_SCCS)
+@example(DANGLING_CHAIN)
+@example(RING_OF_12)
+def test_components_are_mutually_reachable_classes(g):
+    assert strongly_connected_components(g) == brute_sccs(g)
+    c = contract_chains(g)
+    if c is not None:  # the fold folds no further, so its own components need no second fold
+        assert contract_chains(c.graph) is None
+        assert strongly_connected_components(c.graph) == brute_sccs(c.graph)
 
 
 @pytest.mark.parametrize(
