@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .cycles import DEFAULT_MAX_CYCLES, Cycle, path_displacement
 from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, schedule_totals
@@ -279,7 +280,7 @@ def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
 
 def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
     analysis = _analyze(args.graph, budgets)
-    g, cycles = analysis.graph, analysis.cycles
+    g = analysis.graph
     weights = _parse_rationals(args.weights)
     if args.cycles:
         indices = [int(tok) for tok in args.cycles.split(",") if tok.strip()]
@@ -287,8 +288,11 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
         indices = list(range(len(weights)))
     if len(indices) != len(weights):
         return _fail("number of weights must match number of cycle indices")
+    stream = analysis.cycle_stream()  # read as far as the largest index, or counted to the end
+    cycles = list(islice(stream, max(indices, default=-1) + 1))
     if not all(0 <= i < len(cycles) for i in indices):
-        return _fail(f"cycle index out of range (graph has {len(cycles)} cycles)")
+        count = len(cycles) + sum(1 for _ in stream)
+        return _fail(f"cycle index out of range (graph has {count} cycles)")
     plan = build_plan(g, [(cycles[i], w) for i, w in zip(indices, weights)])
     steps, displacement = schedule_totals(g, plan, args.kmax, budget=budgets.prefix)
     if not steps:
@@ -377,7 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="schedule a weighted cycle mixture and measure it")
     p.add_argument("graph")
     p.add_argument("--weights", required=True, help="comma-separated positive rationals summing to 1")
-    p.add_argument("--cycles", help="comma-separated canonical cycle indices (default: first ones)")
+    p.add_argument("--cycles", help="comma-separated indices into the sorted canonical cycles "
+                   "(default: the first ones); only cycles up to the largest index are listed")
     p.add_argument("--kmax", type=int, default=16)
     p.add_argument("--json", action="store_true")
 

@@ -12,10 +12,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError
-from .graph import DisplacementGraph, IntVec, _tarjan, strongly_connected_components
+from .graph import Contraction, DisplacementGraph, Edge, IntVec, strongly_connected_components
 
 Path = tuple[int, ...]
 
@@ -51,42 +51,15 @@ def _velocities(pairs: Iterable[tuple[IntVec, int]]) -> tuple[tuple[Fraction, ..
     return tuple(sorted({tuple(Fraction(d, n) for d in disp) for disp, n in pairs}))
 
 
-def least_rotation(seq: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm, O(n))."""
-    n = len(seq)
-    if n <= 1:
-        return 0
-    doubled = tuple(seq) + tuple(seq)
-    fail = [-1] * (2 * n)
-    best = 0
-    for j in range(1, 2 * n):
-        sj = doubled[j]
-        i = fail[j - best - 1]
-        while i != -1 and sj != doubled[best + i + 1]:
-            if sj < doubled[best + i + 1]:
-                best = j - i - 1
-            i = fail[i]
-        if sj != doubled[best + i + 1]:
-            if sj < doubled[best]:
-                best = j
-            fail[j - best] = -1
-        else:
-            fail[j - best] = i + 1
-    return best % n
-
-
-def least_first(edges: Sequence[int]) -> Path:
-    """Canonical rotation of a simple cycle's edge ids: the one starting at the least id."""
-    edges = tuple(edges)
-    k = edges.index(min(edges))
-    return edges[k:] + edges[:k]
-
-
 def canonical_rotation(edges: Sequence[int]) -> Path:
-    """Rotation of the edge sequence that is lexicographically smallest."""
+    """Rotation of the edge sequence that is lexicographically smallest.
+
+    It starts at the least element, so only the rotations starting there are
+    compared; a simple cycle repeats no edge and has just one, found in O(n).
+    """
     edges = tuple(edges)
-    k = least_rotation(edges)
-    return edges[k:] + edges[:k]
+    least = min(edges, default=0)
+    return min((edges[k:] + edges[:k] for k, e in enumerate(edges) if e == least), default=())
 
 
 @dataclass(frozen=True)
@@ -123,56 +96,104 @@ def is_cycle(g: DisplacementGraph, edges: Sequence[int]) -> bool:
 
 
 def _johnson_from_root(
-    adj: Sequence[Sequence[tuple[int, int]]],
-    comp: set[int],
-    root: int,
-    emit,
-) -> None:
-    """Emit every elementary cycle through ``root`` inside the component.
+    edges: Sequence[Edge], steps: list[list[tuple[int, int]]], e0: int
+) -> Iterator[Path]:
+    """Yield every simple cycle that starts with edge ``e0`` and goes on along
+    ``steps`` (vertex -> [(edge id, target)], ascending), in lexicographic order.
 
-    ``adj`` maps vertex -> [(edge id, target)] without self-loops; blocking
-    works at the vertex level, so parallel edges simply emit separately.
+    Blocking (Johnson 1975) works at the vertex level, so parallel edges
+    simply yield separately.  A depth-first search in ascending order yields
+    in lexicographic order, since no simple cycle is a prefix of another.
     """
-    blocked = {root}
+    root, first = edges[e0].source, edges[e0].target
+    if first == root:
+        yield (e0,)
+        return
+    blocked = {first}
     blocked_after: dict[int, set[int]] = defaultdict(set)
-    path_edges: list[int] = []
-    vert_stack = [root]
-    iters = [iter([(eid, w) for eid, w in adj[root] if w in comp])]
+    path = [e0]
+    vert_stack = [first]
+    iters = [iter(steps[first])]
     closed = [False]
     while iters:
-        advanced = False
-        for eid, w in iters[-1]:
+        for j, w in iters[-1]:
             if w == root:
-                emit(path_edges + [eid])
+                yield (*path, j)
                 closed[-1] = True
             elif w not in blocked:
                 blocked.add(w)
                 vert_stack.append(w)
-                path_edges.append(eid)
-                iters.append(iter([(e2, w2) for e2, w2 in adj[w] if w2 in comp]))
+                path.append(j)
+                iters.append(iter(steps[w]))
                 closed.append(False)
-                advanced = True
                 break
-        if advanced:
-            continue
-        iters.pop()
-        v = vert_stack.pop()
-        if path_edges:
-            path_edges.pop()
-        if closed.pop():
-            if closed:
-                closed[-1] = True
-            pending = {v}
-            while pending:
-                u = pending.pop()
-                if u in blocked:
-                    blocked.discard(u)
-                    pending |= blocked_after[u]
-                    blocked_after[u].clear()
         else:
-            for _eid, w in adj[v]:
-                if w in comp:
+            iters.pop()
+            v = vert_stack.pop()
+            path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                pending = {v}
+                while pending:
+                    u = pending.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        pending |= blocked_after.pop(u, set())
+            else:
+                for _, w in steps[v]:
                     blocked_after[w].add(v)
+
+
+def core_cycles(
+    core: DisplacementGraph, chains: Sequence[Sequence[int]] | None, max_cycles: int
+) -> Iterator[Path]:
+    """Every simple cycle of a chain-folded graph, as its edge ids, one at a time.
+
+    Edge j of ``core`` stands for the original edges ``chains[j]`` (for j
+    alone when ``chains`` is None); let low[j] be the least of them.  Each
+    edge in turn, by ascending low, roots a search and then leaves the
+    graph, so a cycle starts at its edge of least low, and the stream comes
+    in the sorted order of what it unfolds to (``unfolded_cycles``), since
+    ``contract_chains`` numbers each vertex's out-edges by the first ids of
+    their chains.  The (max_cycles + 1)-th cycle raises BudgetError naming
+    its component.
+    """
+    edges, comps = core.edges, strongly_connected_components(core)
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    steps = [[(j, edges[j].target) for j in core.out_edges(v)
+              if comp_of[edges[j].target] == comp_of[v]] for v in range(len(core.vertices))]
+    roots = range(len(edges)) if chains is None else sorted(
+        range(len(edges)), key=lambda j: min(chains[j]))
+    count = 0
+    for e0 in roots:
+        s, t, _ = edges[e0]
+        if comp_of[s] != comp_of[t]:
+            continue
+        for cycle in _johnson_from_root(edges, steps, e0):
+            count += 1
+            if count > max_cycles:
+                names = ",".join(core.vertices[v] for v in comps[comp_of[s]])
+                raise BudgetError(f"cycle budget of {max_cycles} exceeded "
+                                  f"while exploring component {{{names}}}")
+            yield cycle
+        steps[s].remove((e0, t))
+
+
+def unfolded_cycles(
+    g: DisplacementGraph, fold: Contraction | None, max_cycles: int
+) -> Iterator[Path]:
+    """The simple cycles of ``g`` in its own edge ids, canonical and sorted, from
+    the core of ``fold`` (``g`` itself when None): each core cycle's chains,
+    rotated to start at its first chain's least id, which is its least id."""
+    if fold is None:
+        yield from core_cycles(g, None, max_cycles)
+        return
+    chains = fold.chains
+    for cycle in core_cycles(fold.graph, chains, max_cycles):
+        flat = [eid for j in cycle for eid in chains[j]]
+        k = flat.index(min(chains[cycle[0]]))
+        yield (*flat[k:], *flat[:k])
 
 
 def enumerate_cycles(
@@ -181,44 +202,10 @@ def enumerate_cycles(
     """All simple cycles, one canonical rotation each, sorted lexicographically.
 
     Self-loops are length-1 cycles and parallel edges yield distinct cycles.
-    Enumeration streams against ``max_cycles``; exceeding it raises BudgetError
-    and no partial result is returned.
+    They stream from the graph's chain fold against ``max_cycles``; exceeding
+    it raises BudgetError and no partial result is returned.
     """
-    found: list[Path] = []
-
-    def emit(edge_seq: list[int] | tuple[int, ...], comp: Sequence[int] | None = None) -> None:
-        if len(found) >= max_cycles:
-            where = ""
-            if comp is not None:
-                where = " while exploring component {" + ",".join(
-                    g.vertices[v] for v in sorted(comp)
-                ) + "}"
-            raise BudgetError(f"cycle budget of {max_cycles} exceeded{where}")
-        found.append(least_first(edge_seq))
-
-    for eid, e in enumerate(g.edges):
-        if e.source == e.target:
-            emit((eid,))
-
-    adj: list[list[tuple[int, int]]] = [
-        [(eid, g.edges[eid].target) for eid in g.out_edges(v) if g.edges[eid].target != v]
-        for v in range(len(g.vertices))
-    ]
-    stack = [c for c in strongly_connected_components(g) if len(c) >= 2]
-    while stack:
-        comp = stack.pop()
-        comp_set = set(comp)
-        root = comp[0]
-        _johnson_from_root(adj, comp_set, root, lambda seq, c=comp: emit(seq, c))
-        remaining = sorted(comp_set - {root})
-        if len(remaining) >= 2:
-            rem_set = set(remaining)
-            subs = _tarjan(remaining, lambda v: [w for _, w in adj[v] if w in rem_set])
-            stack.extend(
-                sorted((tuple(sorted(c)) for c in subs if len(c) >= 2), key=lambda c: c[0])
-            )
-    found.sort()
-    return tuple(Cycle(p) for p in found)
+    return tuple(Cycle(p) for p in unfolded_cycles(g, g._contraction, max_cycles))
 
 
 def basic_velocities(

@@ -304,6 +304,7 @@ def contract_chains(g: DisplacementGraph) -> Contraction | None:
         for p in walked
     )
     graph = DisplacementGraph(g.dim, tuple(g.vertices[v] for v in index), folded)
+    graph.__dict__["_contraction"] = None  # the core has no chain vertex left to fold
     return Contraction(graph, tuple(index), tuple(walked))
 
 

@@ -5,15 +5,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import Iterator
 
 from .cycles import (
     DEFAULT_MAX_CYCLES,
     Cycle,
+    Path,
     _displacement_sum,
     _velocities,
-    enumerate_cycles,
-    least_first,
+    core_cycles,
     max_ratio_cycle,
+    unfolded_cycles,
 )
 from .errors import NotStronglyConnectedError
 from .geometry import Polytope, _holds_origin_inside, convex_hull, polytope_from_support
@@ -68,11 +70,11 @@ class GraphAnalysis:
     ``polytope_from_support`` asks it as many directions as the polytope
     has facets, and a few more.  The verdict takes its lattice from spanning-tree
     generators and its cone from those polytopes.  Only ``cycles``,
-    ``cycle_count``, ``cycle_pairs`` and ``velocities``, whose values are the
-    cycles themselves or need every one, enumerate the simple cycles: once,
-    against the cycle budget, and only ``cycles`` maps them back to the
-    graph's own edge ids.  The oracle budget bounds the relaxations of each
-    support query.
+    ``cycle_stream``, ``cycle_count``, ``cycle_pairs`` and ``velocities``
+    enumerate simple cycles, from one stream on ``core`` that leaves the
+    search canonical and sorted, against the cycle budget; ``cycle_stream``
+    reads it only as far as its caller does.  The oracle budget bounds the
+    relaxations of each support query.
     """
 
     def __init__(
@@ -115,29 +117,27 @@ class GraphAnalysis:
         return [1] * len(self.core.edges) if c is None else [len(p) for p in c.chains]
 
     @cached_property
-    def _core_cycles(self) -> tuple[Cycle, ...]:
-        return enumerate_cycles(self.core, self.max_cycles)
+    def _core_cycles(self) -> tuple[Path, ...]:
+        c = self._contraction
+        return tuple(core_cycles(self.core, c and c.chains, self.max_cycles))
 
     @property
     def cycle_count(self) -> int:
         return len(self._core_cycles)
 
+    def cycle_stream(self) -> Iterator[Cycle]:
+        """The graph's simple cycles in its own edge ids, as ``enumerate_cycles`` lists them."""
+        return map(Cycle, unfolded_cycles(self.graph, self._contraction, self.max_cycles))
+
     @cached_property
     def cycles(self) -> tuple[Cycle, ...]:
-        """The graph's simple cycles in its own edge ids, as ``enumerate_cycles`` lists them."""
-        c = self._contraction
-        if c is None:
-            return self._core_cycles
-        return tuple(Cycle(p) for p in sorted(
-            least_first([eid for j in cycle.edges for eid in c.chains[j]])
-            for cycle in self._core_cycles
-        ))
+        return tuple(self.cycle_stream())
 
     @cached_property
     def cycle_pairs(self) -> set[tuple[IntVec, int]]:
         """Distinct (displacement, length) pairs of the simple cycles."""
         disps, lengths = [e.displacement for e in self.core.edges], self._lengths
-        return {(_displacement_sum(disps, cycle.edges), sum(lengths[j] for j in cycle.edges))
+        return {(_displacement_sum(disps, cycle), sum(lengths[j] for j in cycle))
                 for cycle in self._core_cycles}
 
     @cached_property

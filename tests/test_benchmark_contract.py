@@ -40,3 +40,11 @@ def test_layer_metrics_name_loaded_public_functions():
     out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(named)], env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_enumerate_cycles_returns_a_sized_tuple(honeycomb):
+    # the traced run's `cycles_out` counter calls len() on what enumerate_cycles returns
+    from velo.cycles import enumerate_cycles
+
+    cycles = enumerate_cycles(honeycomb)
+    assert isinstance(cycles, tuple) and len(cycles) == 9

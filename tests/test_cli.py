@@ -3,12 +3,26 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import HONEYCOMB_DGF
-from velo import convex_hull, parse_dgf, polytope_to_dict, realize, serialize_dgf, velocity_polytope
+from velo import (
+    convex_hull,
+    parse_dgf,
+    path_displacement,
+    polytope_to_dict,
+    realize,
+    serialize_dgf,
+    velocity_polytope,
+)
 from velo.cli import main
+from velo.geometry import format_rational
+from velo.graph import contract_chains
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import nets  # noqa: E402  (closed-form crystal nets, no velo inside)
 
 F = Fraction
 
@@ -165,6 +179,39 @@ def test_simulate_cycle_index_out_of_range(fixture_files, index, capsys):
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (1, "")
     assert err == "error: cycle index out of range (graph has 4 cycles)\n"
+
+
+def test_simulate_counts_past_its_indices_under_the_budget(fixture_files, capsys, monkeypatch):
+    # index 20 is out of range, and counting the 9 cycles to say so meets the budget of 5
+    monkeypatch.setenv("VELO_BUDGET", "5")
+    args = ["simulate", fixture_files["honeycomb"], "--weights", "1/2,1/2", "--cycles", "0,20"]
+    assert run_cli(args, capsys) == (
+        2, "", "error: cycle budget of 5 exceeded while exploring component {A,B}\n"
+    )
+
+
+def test_simulate_reads_only_the_cycles_it_needs(tmp_path, capsys, monkeypatch):
+    import velo.cycles
+
+    # sq 8x8 has far more simple cycles than the cycle budget
+    path = tmp_path / "sq_8x8.dgf"
+    path.write_text(nets.dgf_text(nets.supercell(nets.BASE["sq"], (8, 8))))
+    original, read = velo.cycles.core_cycles, []
+
+    def counting(*args, **kwargs):
+        for cycle in original(*args, **kwargs):
+            read.append(cycle)
+            yield cycle
+
+    monkeypatch.setattr(velo.cycles, "core_cycles", counting)
+    code, out, err = run_cli(
+        ["simulate", str(path), "--weights", "1/2,1/2", "--kmax", "64"], capsys
+    )
+    assert (code, err, len(read)) == (0, "", 2)
+    g = parse_dgf(path.read_text())  # nothing folds, so the core ids are the graph's own
+    velocities = [[F(d, len(c)) for d in path_displacement(g, c)] for c in read]
+    mean = [(a + b) / 2 for a, b in zip(*velocities)]
+    assert out.startswith("target " + " ".join(map(format_rational, mean)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +521,8 @@ def test_cycle_budget_counts_the_whole_graph(two_honeycombs, command, capsys, mo
         return
     assert code == 2
     assert out == ""
-    assert err == "error: cycle budget of 12 exceeded while exploring component {A,B}\n"
+    # the stream runs in edge-id order, so it runs out in the second component
+    assert err == "error: cycle budget of 12 exceeded while exploring component {C,D}\n"
 
 
 @pytest.fixture()
@@ -491,7 +539,7 @@ def test_one_enumeration_per_graph_argument(
 ):
     import velo.cycles
 
-    original = velo.cycles.enumerate_cycles
+    original = velo.cycles.core_cycles
     calls = []
 
     def counting(*args, **kwargs):
@@ -499,8 +547,8 @@ def test_one_enumeration_per_graph_argument(
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "velo" and getattr(module, "enumerate_cycles", None) is original:
-            monkeypatch.setattr(module, "enumerate_cycles", counting)
+        if name.split(".")[0] == "velo" and getattr(module, "core_cycles", None) is original:
+            monkeypatch.setattr(module, "core_cycles", counting)
 
     hc = fixture_files["honeycomb"]
     # expected calls and exit code; only the commands whose output needs every
@@ -531,6 +579,8 @@ def test_one_enumeration_per_graph_argument(
         code, _, _ = run_cli(args, capsys)
         assert (len(calls), code) == (expected_calls, expected_code), args
         assert len({id(g) for g in calls}) == len(calls), args  # one per graph argument
+        # each stream runs on its graph's fold, which has no chain left
+        assert all(contract_chains(g) is None for g in calls), args
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +720,9 @@ def test_cycle_budget_on_chains_names_graph_vertices(chain_files, command, capsy
         assert (code, out, err) == fits
         return
     assert (code, out) == (2, "")
-    # M is folded into the edge A -> B, so the component is named by A and B
-    assert err == "error: cycle budget of 6 exceeded while exploring component {A,B}\n"
+    # the 7th cycle in edge-id order is the self-loop C -e11-> C, and N is folded
+    # into the edge C -> D, so the component is named by C and D
+    assert err == "error: cycle budget of 6 exceeded while exploring component {C,D}\n"
 
 
 @pytest.mark.parametrize("command", [["polytope"], ["norm", "1", "0"], ["anisotropy"]])
@@ -716,6 +767,23 @@ def test_one_scc_search_per_graph(fixture_files, tmp_path, command, capsys, monk
         # the plan's and the BFS oracle's connectivity checks reuse the analysis's
         # components, which one Tarjan run finds on the 2 vertices of the folded core
         assert (code, calls) == (0, [2])
+
+
+@pytest.mark.parametrize("command", ["polytope", "report"])
+def test_one_fold_per_chained_graph(chain_files, realized_ring, command, capsys, monkeypatch):
+    import velo.graph
+
+    original, calls = velo.graph.contract_chains, []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(velo.graph, "contract_chains", counting)
+    for path in (chain_files["hc"], chain_files["comps"], realized_ring):
+        calls.clear()
+        # the fold marks its core as folded, so nothing runs the fold on the core again
+        assert (run_cli([command, path], capsys)[0], len(calls)) == (0, 1), path
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,6 +17,7 @@ from velo import (
     Edge,
     GraphAnalysis,
     convex_hull,
+    enumerate_cycles,
     realize,
     strongly_connected_components,
 )
@@ -56,6 +58,8 @@ CHAIN_INTO_SELF_LOOP = graph(
 # b and c hang off the cycle a-a and end at the sink d
 DANGLING_CHAIN = graph(1, "abcd", (0, 0, (1,)), (0, 1, (0,)), (1, 2, (0,)), (2, 3, (0,)))
 RING_OF_12 = realize(convex_hull([(F(1, 4),), (F(-1, 6),)]))  # a ring of 12 and two closing edges
+# the chain a -e1-> b -e0-> c holds the least id, but not as its first: c -> a runs twice
+LEAST_INSIDE_A_CHAIN = graph(1, "abc", (1, 2, (0,)), (0, 1, (1,)), (2, 0, (0,)), (2, 0, (-1,)))
 
 
 @given(chained_graphs())
@@ -76,6 +80,28 @@ def test_contraction_matches_the_graph_itself(g):
     assert an.velocities == ref.velocities
     assert an.components == ref.components
     assert an.report == ref.report
+
+
+@given(chained_graphs())
+@example(PURE_RING)
+@example(CHAIN_BETWEEN_SCCS)
+@example(CHAIN_INTO_SELF_LOOP)
+@example(DANGLING_CHAIN)
+@example(RING_OF_12)
+@example(LEAST_INSIDE_A_CHAIN)
+def test_cycle_stream_is_sorted_canonical_and_budgeted(g):
+    cycles = brute_cycles(g)
+    assert [c.edges for c in enumerate_cycles(g)] == cycles
+    for an in (GraphAnalysis(g), Uncontracted(g)):
+        for k in range(len(cycles) + 1):  # each prefix of the stream is one of the list
+            assert [c.edges for c in islice(an.cycle_stream(), k)] == cycles[:k]
+    if cycles:  # a budget of one cycle fewer lets all but the last through
+        budget = len(cycles) - 1
+        for an in (GraphAnalysis(g, max_cycles=budget), Uncontracted(g, max_cycles=budget)):
+            stream = an.cycle_stream()
+            assert [next(stream).edges for _ in cycles[1:]] == cycles[:-1]
+            with pytest.raises(BudgetError):
+                next(stream)
 
 
 @given(chained_graphs())
@@ -138,10 +164,10 @@ def test_realized_ring_is_contracted_before_any_cycle_work(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
 
-    spy(velo.invariants, "enumerate_cycles")
+    spy(velo.invariants, "core_cycles")
+    spy(velo.cycles, "core_cycles")
     spy(velo.invariants, "max_ratio_cycle")
     spy(velo.graph, "_tarjan")
-    spy(velo.cycles, "_tarjan")
     # denominators 8, 9, 5 and 7: a ring of lcm 2,520 vertices
     p = convex_hull([(F(1, 8), F(0)), (F(0), F(1, 9)), (F(-1, 5), F(-1, 7)), (F(1, 3), F(1, 3))])
     g = realize(p)
@@ -156,9 +182,9 @@ def test_realized_ring_is_contracted_before_any_cycle_work(monkeypatch):
     # the support oracle sees the core's arcs between its two vertices, and no cycle is listed
     queries = [arg for name, arg in seen if name == "max_ratio_cycle"]
     assert queries and all(sorted(arcs) == sorted(e[:2] for e in core.edges) for arcs in queries)
-    assert not [arg for name, arg in seen if name == "enumerate_cycles"]
+    assert not [arg for name, arg in seen if name == "core_cycles"]
     assert len(an.cycles) == len(p.vertices)
-    assert [arg for name, arg in seen if name == "enumerate_cycles"] == [core]
+    assert [arg for name, arg in seen if name == "core_cycles"] == [core]
     tarjans = [len(arg) for name, arg in seen if name == "_tarjan"]
     assert tarjans and max(tarjans) <= len(core.vertices)
 
