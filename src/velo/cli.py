@@ -204,8 +204,9 @@ def cmd_polytope(args: argparse.Namespace, budgets: Budgets) -> int:
     if len(analysis.sccs) == 1:
         poly = analysis.polytope
         if args.svg:
+            svg = polytope_svg(poly)  # before the file is opened, which would empty it
             with open(args.svg, "w") as fh:
-                fh.write(polytope_svg(poly))
+                fh.write(svg)
         if args.json:
             sys.stdout.write(polytope_to_json(poly))
         else:

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError
-from .graph import Contraction, DisplacementGraph, Edge, IntVec, strongly_connected_components
+from .graph import Contraction, DisplacementGraph, Edge, IntVec
 
 Path = tuple[int, ...]
 
@@ -159,10 +159,8 @@ def core_cycles(
     their chains.  The (max_cycles + 1)-th cycle raises BudgetError naming
     its component.
     """
-    edges, comps = core.edges, strongly_connected_components(core)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    steps = [[(j, edges[j].target) for j in core.out_edges(v)
-              if comp_of[edges[j].target] == comp_of[v]] for v in range(len(core.vertices))]
+    edges, comp_of = core.edges, core._comp_of
+    steps = [[(j, edges[j].target) for j in inside] for inside in core._inside]
     roots = range(len(edges)) if chains is None else sorted(
         range(len(edges)), key=lambda j: min(chains[j]))
     count = 0
@@ -173,7 +171,7 @@ def core_cycles(
         for cycle in _johnson_from_root(edges, steps, e0):
             count += 1
             if count > max_cycles:
-                names = ",".join(core.vertices[v] for v in comps[comp_of[s]])
+                names = ",".join(core.vertices[v] for v in core._sccs[comp_of[s]])
                 raise BudgetError(f"cycle budget of {max_cycles} exceeded "
                                   f"while exploring component {{{names}}}")
             yield cycle

@@ -550,8 +550,12 @@ def polytope_from_dict(data: dict) -> Polytope:
     Facets are recomputed rather than trusted, so the round trip is canonical.
     """
     try:
-        dim = int(data["dim"])
-        vertices = [tuple(parse_rational(c) for c in v) for v in data["vertices"]]
+        dim, rows = data["dim"], data["vertices"]
+        # type(dim), not isinstance, which would take a JSON true for the integer 1
+        if type(dim) is not int or not isinstance(rows, list) or not all(
+                isinstance(v, list) and all(isinstance(c, str) for c in v) for v in rows):
+            raise TypeError("dim must be an integer and vertices lists of strings")
+        vertices = [tuple(parse_rational(c) for c in v) for v in rows]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polytope JSON: {exc}") from None
     return convex_hull(vertices, dim=dim)

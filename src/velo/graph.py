@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, UnreachableError
 
@@ -83,14 +83,10 @@ class DisplacementGraph:
         c = self._contraction
         if c is None:
             succ = [sorted({self.edges[eid].target for eid in out}) for out in self._out]
-            members = _tarjan(range(len(self.vertices)), succ.__getitem__)
+            members = _tarjan(succ)
         else:
-            comps = c.graph._sccs
-            comp_of = [0] * len(c.kept)
-            for k, comp in enumerate(comps):
-                for v in comp:
-                    comp_of[v] = k
-            members = [[c.kept[v] for v in comp] for comp in comps]
+            comp_of = c.graph._comp_of
+            members = [[c.kept[v] for v in comp] for comp in c.graph._sccs]
             for e, path in zip(c.graph.edges, c.chains):
                 inner = [self.edges[eid].source for eid in path[1:]]
                 if comp_of[e.source] == comp_of[e.target]:
@@ -98,6 +94,23 @@ class DisplacementGraph:
                 else:
                     members.extend([v] for v in inner)
         return tuple(sorted((tuple(sorted(m)) for m in members), key=lambda m: m[0]))
+
+    @cached_property
+    def _comp_of(self) -> tuple[int, ...]:
+        """The index in ``_sccs`` of each vertex's component."""
+        comp_of = [0] * len(self.vertices)
+        for k, comp in enumerate(self._sccs):
+            for v in comp:
+                comp_of[v] = k
+        return tuple(comp_of)
+
+    @cached_property
+    def _inside(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex, the ids of its out-edges whose target lies in its
+        component, ascending: the edges that can lie on a cycle."""
+        comp_of, edges = self._comp_of, self.edges
+        return tuple(tuple(eid for eid in out if comp_of[edges[eid].target] == comp_of[v])
+                     for v, out in enumerate(self._out))
 
     @cached_property
     def max_displacement_norm(self) -> int:
@@ -189,54 +202,43 @@ def serialize_dgf(g: DisplacementGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tarjan(vertices: Sequence[int], successors: Callable[[int], Iterable[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as lists of vertex ids (unspecified order)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan over the successor lists of the vertices 0..n-1;
+    returns SCCs as lists of vertex ids (unspecified order)."""
+    n = len(succ)
+    index, low = [-1] * n, [0] * n  # a vertex whose component is done gets index n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for root in vertices:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work: list[tuple[int, list[int], int]] = [(root, list(successors(root)), 0)]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, succ, pos = work[-1]
-            pushed = False
-            while pos < len(succ):
-                w = succ[pos]
-                pos += 1
-                if w not in index:
-                    work[-1] = (v, succ, pos)
+            v, todo = work[-1]
+            for w in todo:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, list(successors(w)), 0))
-                    pushed = True
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                low[v] = min(low[v], index[w])  # index n (done) lowers nothing
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n
+                    comps.append(comp)
     return comps
 
 

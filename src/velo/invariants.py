@@ -1,6 +1,7 @@
 """Graph-level invariants: velocity polytopes and the connectivity verdict."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -10,7 +11,6 @@ from typing import Iterator
 from .cycles import (
     DEFAULT_MAX_CYCLES,
     Cycle,
-    Path,
     _displacement_sum,
     _velocities,
     core_cycles,
@@ -61,14 +61,15 @@ class GraphAnalysis:
     """The invariants of one graph, each computed lazily and at most once.
 
     The graph folds every chain (a path through vertices of in-degree 1 and
-    out-degree 1) into one edge once and keeps the result, with its strongly
-    connected components, for every caller.  That fold is ``core``, which is
-    the graph itself when nothing folds, and everything below is computed on
-    it.  Each strongly connected component of ``core`` gets its velocity polytope from a support
-    oracle without listing a cycle: h(u) is the largest ratio u.d / length
-    over its simple cycles (``max_ratio_cycle``), and
-    ``polytope_from_support`` asks it as many directions as the polytope
-    has facets, and a few more.  The verdict takes its lattice from spanning-tree
+    out-degree 1) into one edge once and keeps the result, with its component
+    table (each vertex's strongly connected component and its out-edges inside
+    it), for every caller.  That fold is ``core``, which is the graph itself
+    when nothing folds, and everything below is computed on it and its table.
+    Each strongly connected component of ``core`` gets its velocity polytope
+    from a support oracle without listing a cycle: h(u) is the largest ratio
+    u.d / length over its simple cycles (``max_ratio_cycle``), and
+    ``polytope_from_support`` asks it as many directions as the polytope has
+    facets, and a few more.  The verdict takes its lattice from spanning-tree
     generators and its cone from those polytopes.  Only ``cycles``,
     ``cycle_stream``, ``cycle_count``, ``cycle_pairs`` and ``velocities``
     enumerate simple cycles, from one stream on ``core`` that leaves the
@@ -102,13 +103,9 @@ class GraphAnalysis:
     def sccs(self) -> tuple[tuple[int, ...], ...]:
         return strongly_connected_components(self.graph)
 
-    @cached_property
+    @property
     def scc_membership(self) -> tuple[int, ...]:
-        membership = [0] * len(self.graph.vertices)
-        for comp_id, comp in enumerate(self.sccs):
-            for v in comp:
-                membership[v] = comp_id
-        return tuple(membership)
+        return self.graph._comp_of
 
     @cached_property
     def _lengths(self) -> list[int]:
@@ -116,14 +113,9 @@ class GraphAnalysis:
         c = self._contraction
         return [1] * len(self.core.edges) if c is None else [len(p) for p in c.chains]
 
-    @cached_property
-    def _core_cycles(self) -> tuple[Path, ...]:
-        c = self._contraction
-        return tuple(core_cycles(self.core, c and c.chains, self.max_cycles))
-
     @property
     def cycle_count(self) -> int:
-        return len(self._core_cycles)
+        return self.cycle_pairs.total()
 
     def cycle_stream(self) -> Iterator[Cycle]:
         """The graph's simple cycles in its own edge ids, as ``enumerate_cycles`` lists them."""
@@ -134,11 +126,13 @@ class GraphAnalysis:
         return tuple(self.cycle_stream())
 
     @cached_property
-    def cycle_pairs(self) -> set[tuple[IntVec, int]]:
-        """Distinct (displacement, length) pairs of the simple cycles."""
-        disps, lengths = [e.displacement for e in self.core.edges], self._lengths
-        return {(_displacement_sum(disps, cycle), sum(lengths[j] for j in cycle))
-                for cycle in self._core_cycles}
+    def cycle_pairs(self) -> Counter[tuple[IntVec, int]]:
+        """How many simple cycles have each (displacement, length) pair, from one
+        pass of the core's cycle stream."""
+        c, lengths = self._contraction, self._lengths
+        disps = [e.displacement for e in self.core.edges]
+        return Counter((_displacement_sum(disps, cycle), sum(lengths[j] for j in cycle))
+                       for cycle in core_cycles(self.core, c and c.chains, self.max_cycles))
 
     @cached_property
     def velocities(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -149,17 +143,16 @@ class GraphAnalysis:
     def _pieces(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:
         """(component id, core vertices, ids of the core edges inside) of every
         component of ``core`` with an edge inside, that is, with a cycle."""
-        kept = self._contraction.kept if self._contraction else range(len(self.core.vertices))
-        comp_of = [self.scc_membership[v] for v in kept]
-        comps: list[list[int]] = [[] for _ in self.sccs]
-        for v, k in enumerate(comp_of):
-            comps[k].append(v)
-        inside: list[list[int]] = [[] for _ in comps]
-        for eid, (s, t, _) in enumerate(self.core.edges):
-            if comp_of[s] == comp_of[t]:
-                inside[comp_of[s]].append(eid)
-        return tuple((k, tuple(comp), eids)
-                     for k, (comp, eids) in enumerate(zip(comps, inside)) if eids)
+        core, c = self.core, self._contraction
+        kept = c.kept if c else range(len(core.vertices))
+        pieces = []
+        for comp in core._sccs:
+            # ascending ids, the order in which the support oracle relaxes its
+            # arcs, so that its relaxation counts stay those its budget names
+            inside = sorted(eid for v in comp for eid in core._inside[v])
+            if inside:
+                pieces.append((self.scc_membership[kept[comp[0]]], comp, inside))
+        return tuple(sorted(pieces))  # by the graph's component id
 
     def _support(self, comp: tuple[int, ...], inside: list[int]):
         """The support function of one component's velocity polytope."""
@@ -204,12 +197,11 @@ class GraphAnalysis:
         circulation c and N large."""
         core, rows = self.core, set()
         for _, comp, inside in self._pieces:
-            edges = set(inside)
             potential, tree = {comp[0]: (0,) * core.dim}, [comp[0]]
             for v in tree:  # grows while it is read: a breadth-first tree
-                for eid in core.out_edges(v):
+                for eid in core._inside[v]:
                     s, t, d = core.edges[eid]
-                    if eid in edges and t not in potential:
+                    if t not in potential:
                         potential[t] = tuple(map(sum, zip(potential[s], d)))
                         tree.append(t)
             for eid in inside:

@@ -253,6 +253,22 @@ def test_realize_malformed_json(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "vertices": [[1], [-1]]}',
+    '{"dim": 1, "vertices": [[null]]}',
+    '{"dim": 2, "vertices": ["12", "34"]}',
+    '{"dim": 1.9, "vertices": [["1"], ["-1"]]}',
+    '{"dim": true, "vertices": [["1"], ["-1"]]}',
+    '[["1"], ["-1"]]',
+])
+def test_realize_rejects_polytope_json_of_the_wrong_types(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["realize", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed polytope JSON: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-morphism
 
@@ -338,11 +354,12 @@ def test_svg_output(fixture_files, tmp_path, capsys):
 
 
 def test_svg_rejects_non_2d(fixture_files, tmp_path, capsys):
-    code, _, err = run_cli(
-        ["polytope", fixture_files["pm2"], "--svg", str(tmp_path / "x.svg")], capsys
-    )
+    path = tmp_path / "x.svg"
+    path.write_text("<svg>kept</svg>\n")
+    code, _, err = run_cli(["polytope", fixture_files["pm2"], "--svg", str(path)], capsys)
     assert code == 1
     assert "2-d" in err
+    assert path.read_text() == "<svg>kept</svg>\n"  # a failed rendering leaves the file alone
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +752,19 @@ def test_oracle_budget(chain_files, command, capsys, monkeypatch):
     assert run_cli(argv, capsys) == (2, "", (
         "error: oracle budget of 3 relaxations exceeded: "
         "a support query made 4 in component {A,B}\n"
+    ))
+
+
+def test_oracle_relaxes_arcs_in_edge_id_order(tmp_path, capsys, monkeypatch):
+    # the out-edges of v1 (e0, e2) and of v0 (e1, e3) interleave; taken vertex by
+    # vertex instead of by id, the first support query makes 3 relaxations, not 2
+    path = tmp_path / "interleaved.dgf"
+    path.write_text("dim 1\nvertex v0\nvertex v1\n"
+                    "edge v1 v0 -2\nedge v0 v0 0\nedge v1 v1 2\nedge v0 v1 0\n")
+    monkeypatch.setenv("VELO_BUDGET", "1")
+    assert run_cli(["polytope", str(path)], capsys) == (2, "", (
+        "error: oracle budget of 1 relaxations exceeded: "
+        "a support query made 2 in component {v0,v1}\n"
     ))
 
 

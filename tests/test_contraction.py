@@ -60,6 +60,11 @@ DANGLING_CHAIN = graph(1, "abcd", (0, 0, (1,)), (0, 1, (0,)), (1, 2, (0,)), (2, 
 RING_OF_12 = realize(convex_hull([(F(1, 4),), (F(-1, 6),)]))  # a ring of 12 and two closing edges
 # the chain a -e1-> b -e0-> c holds the least id, but not as its first: c -> a runs twice
 LEAST_INSIDE_A_CHAIN = graph(1, "abc", (1, 2, (0,)), (0, 1, (1,)), (2, 0, (0,)), (2, 0, (-1,)))
+# the chain vertex a is the least of {a, c}, so the core {b, c} lists b's component
+# first, while the graph lists it second
+CHAIN_HOLDS_THE_LEAST_VERTEX = graph(
+    1, "abc", (2, 0, (1,)), (0, 2, (0,)), (2, 2, (-1,)), (1, 1, (1,)), (1, 1, (0,)), (2, 1, (0,))
+)
 
 
 @given(chained_graphs())
@@ -68,6 +73,7 @@ LEAST_INSIDE_A_CHAIN = graph(1, "abc", (1, 2, (0,)), (0, 1, (1,)), (2, 0, (0,)),
 @example(CHAIN_INTO_SELF_LOOP)
 @example(DANGLING_CHAIN)
 @example(RING_OF_12)
+@example(CHAIN_HOLDS_THE_LEAST_VERTEX)
 def test_contraction_matches_the_graph_itself(g):
     an, ref = GraphAnalysis(g), Uncontracted(g)
     assert ref.core is g
@@ -111,10 +117,36 @@ def test_cycle_stream_is_sorted_canonical_and_budgeted(g):
 @example(RING_OF_12)
 def test_components_are_mutually_reachable_classes(g):
     assert strongly_connected_components(g) == brute_sccs(g)
+    assert_component_table(g)
     c = contract_chains(g)
     if c is not None:  # the fold folds no further, so its own components need no second fold
         assert contract_chains(c.graph) is None
         assert strongly_connected_components(c.graph) == brute_sccs(c.graph)
+        assert_component_table(c.graph)
+
+
+def assert_component_table(g):
+    """Each vertex's component index and its out-edges inside, against ``brute_sccs``."""
+    comps = brute_sccs(g)
+    comp_of = [next(k for k, comp in enumerate(comps) if v in comp) for v in range(len(g.vertices))]
+    assert g._comp_of == tuple(comp_of)
+    assert g._inside == tuple(
+        tuple(eid for eid, e in enumerate(g.edges) if e.source == v and comp_of[e.target] == k)
+        for v, k in enumerate(comp_of)
+    )
+
+
+def test_components_of_a_long_path_without_chain_vertices():
+    # doubled edges give every inner vertex in-degree 2 and out-degree 2, so nothing
+    # folds: Tarjan walks 20,000 deep, which a recursive search could not, and pops
+    # 20,000 components, each off the top of its stack
+    n = 20_000
+    g = graph(1, [f"v{i}" for i in range(n)],
+              *[(i // 2, i // 2 + 1, (i % 2,)) for i in range(2 * n - 2)])
+    assert contract_chains(g) is None
+    assert strongly_connected_components(g) == tuple((v,) for v in range(n))
+    assert g._comp_of == tuple(range(n))
+    assert g._inside == ((),) * n
 
 
 @pytest.mark.parametrize(

@@ -490,6 +490,20 @@ def test_json_malformed():
         polytope_from_json('{"vertices": [["1"]]}')
     with pytest.raises(ValueError):
         polytope_from_json('{"dim": 1, "vertices": [["1/0"]]}')
+    # entries that are not strings, vertices that are not lists of lists, and a
+    # dim that is not a JSON integer
+    for text in (
+        '{"dim": 1, "vertices": [[1], [-1]]}',
+        '{"dim": 1, "vertices": [[null]]}',
+        '{"dim": 2, "vertices": ["12", "34"]}',
+        '{"dim": 2, "vertices": {"0": ["1", "2"]}}',
+        '{"dim": 1.9, "vertices": [["1"], ["-1"]]}',
+        '{"dim": "1", "vertices": [["1"], ["-1"]]}',
+        '{"dim": true, "vertices": [["1"], ["-1"]]}',
+        '[{"dim": 1}]',
+    ):
+        with pytest.raises(ValueError, match="^malformed polytope JSON: "):
+            polytope_from_json(text)
 
 
 def test_polytope_equality_and_determinism():
