@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .cycles import DEFAULT_MAX_CYCLES, Cycle, path_displacement
+from .cycles import DEFAULT_MAX_CYCLES, path_displacement
 from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, schedule_totals
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, VeloError
 from .geometry import (
@@ -183,14 +183,6 @@ def _report_json(payload: dict) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
-def _cycle_route(g: DisplacementGraph, cycle: Cycle) -> str:
-    parts = [g.vertices[g.edges[cycle.edges[0]].source]]
-    for eid in cycle.edges:
-        parts.append(f"-e{eid}->")
-        parts.append(g.vertices[g.edges[eid].target])
-    return " ".join(parts)
-
-
 def _parse_rationals(text: str) -> list[Fraction]:
     return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
 
@@ -268,13 +260,15 @@ def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
 
 def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
     analysis = _analyze(args.graph, budgets)
-    g, cycles = analysis.graph, analysis.cycles
+    g, cycles = analysis.graph, analysis.cycles  # all of them, or the budget error
     if args.json:
-        payload = {"count": len(cycles), "cycles": [list(c.edges) for c in cycles]}
+        payload = {"count": len(cycles), "cycles": cycles}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        for c in cycles:
-            print(_cycle_route(g, c))
+        names = g.vertices
+        steps = [f" -e{eid}-> {names[e.target]}" for eid, e in enumerate(g.edges)]
+        sys.stdout.writelines(names[g.edges[c[0]].source] + "".join(map(steps.__getitem__, c))
+                              + "\n" for c in cycles)
         print(f"cycles {len(cycles)}")
     return 0
 
@@ -284,7 +278,12 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
     g = analysis.graph
     weights = _parse_rationals(args.weights)
     if args.cycles:
-        indices = [int(tok) for tok in args.cycles.split(",") if tok.strip()]
+        indices = []
+        for tok in filter(str.strip, args.cycles.split(",")):
+            try:
+                indices.append(int(tok))
+            except ValueError:
+                return _fail(f"cycle indices must be integers, got {tok.strip()!r}")
     else:
         indices = list(range(len(weights)))
     if len(indices) != len(weights):

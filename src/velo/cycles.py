@@ -8,14 +8,13 @@ rotation is the one starting at the cycle's least edge id.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError
-from .graph import Contraction, DisplacementGraph, Edge, IntVec
+from .graph import Contraction, DisplacementGraph, IntVec
 
 Path = tuple[int, ...]
 
@@ -95,56 +94,6 @@ def is_cycle(g: DisplacementGraph, edges: Sequence[int]) -> bool:
     return len(set(sources)) == len(sources)
 
 
-def _johnson_from_root(
-    edges: Sequence[Edge], steps: list[list[tuple[int, int]]], e0: int
-) -> Iterator[Path]:
-    """Yield every simple cycle that starts with edge ``e0`` and goes on along
-    ``steps`` (vertex -> [(edge id, target)], ascending), in lexicographic order.
-
-    Blocking (Johnson 1975) works at the vertex level, so parallel edges
-    simply yield separately.  A depth-first search in ascending order yields
-    in lexicographic order, since no simple cycle is a prefix of another.
-    """
-    root, first = edges[e0].source, edges[e0].target
-    if first == root:
-        yield (e0,)
-        return
-    blocked = {first}
-    blocked_after: dict[int, set[int]] = defaultdict(set)
-    path = [e0]
-    vert_stack = [first]
-    iters = [iter(steps[first])]
-    closed = [False]
-    while iters:
-        for j, w in iters[-1]:
-            if w == root:
-                yield (*path, j)
-                closed[-1] = True
-            elif w not in blocked:
-                blocked.add(w)
-                vert_stack.append(w)
-                path.append(j)
-                iters.append(iter(steps[w]))
-                closed.append(False)
-                break
-        else:
-            iters.pop()
-            v = vert_stack.pop()
-            path.pop()
-            if closed.pop():
-                if closed:
-                    closed[-1] = True
-                pending = {v}
-                while pending:
-                    u = pending.pop()
-                    if u in blocked:
-                        blocked.discard(u)
-                        pending |= blocked_after.pop(u, set())
-            else:
-                for _, w in steps[v]:
-                    blocked_after[w].add(v)
-
-
 def core_cycles(
     core: DisplacementGraph, chains: Sequence[Sequence[int]] | None, max_cycles: int
 ) -> Iterator[Path]:
@@ -158,24 +107,66 @@ def core_cycles(
     ``contract_chains`` numbers each vertex's out-edges by the first ids of
     their chains.  The (max_cycles + 1)-th cycle raises BudgetError naming
     its component.
+
+    Each search is Johnson's (1975), along the edges inside the component in
+    ascending order, so it yields in lexicographic order (no simple cycle is
+    a prefix of another); blocking works on vertices, so parallel edges yield
+    separately.  Its blocked flags and B-sets live in per-vertex lists made
+    once, and each search resets only the vertices it blocked.
     """
     edges, comp_of = core.edges, core._comp_of
     steps = [[(j, edges[j].target) for j in inside] for inside in core._inside]
     roots = range(len(edges)) if chains is None else sorted(
         range(len(edges)), key=lambda j: min(chains[j]))
+    blocked = [False] * len(core.vertices)
+    # Johnson's B(w): sets, so each v enters once, which keeps the delay polynomial
+    unblocks: list[set[int]] = [set() for _ in core.vertices]
     count = 0
     for e0 in roots:
-        s, t, _ = edges[e0]
-        if comp_of[s] != comp_of[t]:
+        root, first, _ = edges[e0]
+        if comp_of[root] != comp_of[first]:
             continue
-        for cycle in _johnson_from_root(edges, steps, e0):
-            count += 1
-            if count > max_cycles:
-                names = ",".join(core.vertices[v] for v in core._sccs[comp_of[s]])
-                raise BudgetError(f"cycle budget of {max_cycles} exceeded "
-                                  f"while exploring component {{{names}}}")
-            yield cycle
-        steps[s].remove((e0, t))
+        # the root's own frame runs e0 alone; reaching the root closes a cycle
+        touched, path, frames = [root], [], []
+        v, it, closed = root, iter(((e0, first),)), False
+        while True:
+            for j, w in it:
+                if w == root:
+                    count += 1
+                    if count > max_cycles:
+                        names = ",".join(core.vertices[u] for u in core._sccs[comp_of[root]])
+                        raise BudgetError(f"cycle budget of {max_cycles} exceeded "
+                                          f"while exploring component {{{names}}}")
+                    yield (*path, j)
+                    closed = True
+                elif not blocked[w]:
+                    blocked[w] = True
+                    touched.append(w)
+                    frames.append((v, it, closed))
+                    path.append(j)
+                    v, it, closed = w, iter(steps[w]), False
+                    break
+            else:
+                if not frames:
+                    break
+                if closed:  # unblock v, and whatever waits on it
+                    pending = [v]
+                    while pending:
+                        u = pending.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            pending.extend(unblocks[u])
+                            unblocks[u].clear()
+                else:  # v stays blocked until one of its successors unblocks
+                    for _, w in steps[v]:
+                        unblocks[w].add(v)
+                path.pop()
+                v, it, below = frames.pop()
+                closed = closed or below
+        for u in touched:
+            blocked[u] = False
+            unblocks[u].clear()
+        steps[root].remove((e0, first))
 
 
 def unfolded_cycles(

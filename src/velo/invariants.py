@@ -11,6 +11,7 @@ from typing import Iterator
 from .cycles import (
     DEFAULT_MAX_CYCLES,
     Cycle,
+    Path,
     _displacement_sum,
     _velocities,
     core_cycles,
@@ -122,17 +123,37 @@ class GraphAnalysis:
         return map(Cycle, unfolded_cycles(self.graph, self._contraction, self.max_cycles))
 
     @cached_property
-    def cycles(self) -> tuple[Cycle, ...]:
-        return tuple(self.cycle_stream())
+    def cycles(self) -> tuple[Path, ...]:
+        """The graph's simple cycles as edge-id tuples, in ``cycle_stream`` order."""
+        return tuple(unfolded_cycles(self.graph, self._contraction, self.max_cycles))
 
     @cached_property
     def cycle_pairs(self) -> Counter[tuple[IntVec, int]]:
         """How many simple cycles have each (displacement, length) pair, from one
-        pass of the core's cycle stream."""
-        c, lengths = self._contraction, self._lengths
-        disps = [e.displacement for e in self.core.edges]
-        return Counter((_displacement_sum(disps, cycle), sum(lengths[j] for j in cycle))
-                       for cycle in core_cycles(self.core, c and c.chains, self.max_cycles))
+        pass of the core's cycle stream.
+
+        Each core edge is coded as one integer whose balanced base-B digits
+        are its length and its displacement, with B = 2m + 1 for m the larger
+        of the sum of the lengths and the sum of each displacement's largest
+        absolute entry.  A simple cycle uses each edge at most once, so every
+        digit of its codes' sum stays within m in absolute value and decodes.
+        """
+        core, c, lengths = self.core, self._contraction, self._lengths
+        half = max(sum(lengths), sum(max(map(abs, e.displacement)) for e in core.edges))
+        base = 2 * half + 1
+        codes = [sum(x * base**i for i, x in enumerate((n, *e.displacement)))
+                 for e, n in zip(core.edges, lengths)]
+        packed = Counter(sum(map(codes.__getitem__, cycle))
+                         for cycle in core_cycles(core, c and c.chains, self.max_cycles))
+
+        def unpack(code: int) -> tuple[IntVec, int]:
+            digits = []
+            for _ in range(core.dim + 1):
+                digits.append((code + half) % base - half)
+                code = (code - digits[-1]) // base
+            return tuple(digits[1:]), digits[0]
+
+        return Counter({unpack(code): count for code, count in packed.items()})
 
     @cached_property
     def velocities(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import HONEYCOMB_DGF
+from helpers import HONEYCOMB_DGF, random_graph, subdivide
 from velo import (
+    Cycle,
+    DisplacementGraph,
     convex_hull,
+    enumerate_cycles,
     parse_dgf,
     path_displacement,
     polytope_to_dict,
@@ -63,7 +67,8 @@ def test_polytope_json_parses_back(fixture_files, capsys):
     code, out, _ = run_cli(["polytope", fixture_files["honeycomb"], "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
-    expected = polytope_to_dict(velocity_polytope(parse_dgf(open(fixture_files["honeycomb"]).read())))
+    g = parse_dgf(Path(fixture_files["honeycomb"]).read_text())
+    expected = polytope_to_dict(velocity_polytope(g))
     assert payload == expected
 
 
@@ -148,6 +153,41 @@ def test_cycles_json(fixture_files, capsys):
     assert json.loads(out) == {"count": 2, "cycles": [[0], [1]]}
 
 
+def _cycle_route(g: DisplacementGraph, cycle: Cycle) -> str:
+    """One route, rendered part by part from a Cycle: the reference for `cycles`."""
+    parts = [g.vertices[g.edges[cycle.edges[0]].source]]
+    for eid in cycle.edges:
+        parts.append(f"-e{eid}->")
+        parts.append(g.vertices[g.edges[eid].target])
+    return " ".join(parts)
+
+
+def test_cycles_text_matches_the_reference_routes(fixture_files, chain_files, tmp_path, capsys):
+    rng = random.Random(5)
+    paths = [*fixture_files.values(), *chain_files.values()]
+    for i in range(40):
+        g = random_graph(rng, max_vertices=6, max_edges=12, max_disp=9)
+        if i % 2:
+            g = subdivide(g, {eid: rng.randint(1, 3) for eid in range(0, len(g.edges), 3)})
+        paths.append(tmp_path / f"random{i}.dgf")
+        paths[-1].write_text(serialize_dgf(g))
+    for path in paths:
+        g = parse_dgf(Path(path).read_text())
+        cycles = enumerate_cycles(g)
+        routes = "".join(_cycle_route(g, c) + "\n" for c in cycles)
+        assert run_cli(["cycles", str(path)], capsys) == (0, routes + f"cycles {len(cycles)}\n", "")
+
+
+def test_cycles_over_the_budget_print_nothing(fixture_files, chain_files, capsys, monkeypatch):
+    # the routes go out only once the whole list exists, so none of the first 5 does
+    monkeypatch.setenv("VELO_BUDGET", "5")
+    for path in (fixture_files["honeycomb"], chain_files["hc"]):  # the chain folds away
+        for argv in (["cycles", path], ["cycles", path, "--json"]):
+            assert run_cli(argv, capsys) == (
+                2, "", "error: cycle budget of 5 exceeded while exploring component {A,B}\n"
+            )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -179,6 +219,14 @@ def test_simulate_cycle_index_out_of_range(fixture_files, index, capsys):
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (1, "")
     assert err == "error: cycle index out of range (graph has 4 cycles)\n"
+
+
+@pytest.mark.parametrize("indices, bad", [("0,x", "x"), ("1, 2.5", "2.5"), ("-", "-")])
+def test_simulate_rejects_cycle_indices_that_are_not_integers(fixture_files, indices, bad, capsys):
+    args = ["simulate", fixture_files["honeycomb"], "--weights", "1/2,1/2", "--cycles", indices]
+    assert run_cli(args, capsys) == (
+        1, "", f"error: cycle indices must be integers, got {bad!r}\n"
+    )
 
 
 def test_simulate_counts_past_its_indices_under_the_budget(fixture_files, capsys, monkeypatch):
@@ -229,7 +277,7 @@ def test_realize_hexagon_json(fixture_files, tmp_path, capsys):
     assert len(g.vertices) == 2
     assert len(g.edges) == 7
     assert velocity_polytope(g).vertices == velocity_polytope(
-        parse_dgf(open(fixture_files["honeycomb"]).read())
+        parse_dgf(Path(fixture_files["honeycomb"]).read_text())
     ).vertices
 
 

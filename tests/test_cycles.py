@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import random_gauge, random_graph, random_strongly_connected_graph, random_walk
 from oracles import brute_cycles
 from velo import (
     BudgetError,
     Cycle,
+    DisplacementGraph,
+    Edge,
     basic_velocities,
     canonical_rotation,
     decompose_path,
@@ -19,6 +23,7 @@ from velo import (
     parse_dgf,
     path_displacement,
 )
+from velo.cycles import DEFAULT_MAX_CYCLES, core_cycles
 from velo.graph import inf_norm
 
 
@@ -95,6 +100,52 @@ def test_enumeration_matches_brute_force():
     for _ in range(150):
         g = random_graph(rng, max_vertices=5, max_edges=10, max_dim=2)
         assert [c.edges for c in enumerate_cycles(g)] == brute_cycles(g)
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 7 vertices and 14 edges in d = 1..2, with self-loops, parallel
+    edges and any number of components."""
+    dim, n = draw(st.integers(1, 2)), draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edge = st.builds(Edge, vertex, vertex, st.tuples(*[st.integers(-2, 2)] * dim))
+    return DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)),
+                             tuple(draw(st.lists(edge, max_size=14))))
+
+
+def _multigraph(n: int, *arcs: tuple[int, int]) -> DisplacementGraph:
+    return DisplacementGraph(1, tuple(f"v{i}" for i in range(n)),
+                             tuple(Edge(s, t, (0,)) for s, t in arcs))
+
+
+# Root e0 = y->r goes first and leaves.  Root e1 = r->y then reaches z, which
+# can no longer return to r: z and y end that search blocked.  The next root,
+# e2 = y->z, closes y->z->y through z.  The self-loops keep every vertex off a
+# chain, so nothing folds.
+STUCK_AT_A_ROOTS_END = _multigraph(3, (1, 0), (0, 1), (1, 2), (2, 1), (2, 2), (0, 0))
+# Root e1 = 2->3 ends with 3, 1 and 0 blocked and 0 and 3 in B(1).  Root e2 =
+# 0->3 closes 0->3->1->0, and unblocking 1 must not unblock 3, which is on the
+# path: with B(1) left over, e6 = 3->3 would revisit 3 and yield (2, 6, 4, 5).
+# Only the unfolded search (chains None) meets this, as v2 is a chain vertex.
+LEFT_IN_A_B_SET = _multigraph(
+    4, (3, 2), (2, 3), (0, 3), (0, 1), (3, 1), (1, 0), (3, 3), (0, 3)
+)
+
+
+@given(multigraphs())
+@example(STUCK_AT_A_ROOTS_END)
+@example(LEFT_IN_A_B_SET)
+def test_search_state_is_reset_between_roots_and_streams(g):
+    cycles = brute_cycles(g)
+    assert [c.edges for c in enumerate_cycles(g)] == cycles
+    assert list(core_cycles(g, None, DEFAULT_MAX_CYCLES)) == cycles  # every vertex, unfolded
+    for k in range(len(cycles) + 1):  # a dropped stream leaves nothing behind for the next
+        assert list(islice(core_cycles(g, None, DEFAULT_MAX_CYCLES), k)) == cycles[:k]
+        assert list(core_cycles(g, None, DEFAULT_MAX_CYCLES)) == cycles
+
+
+def test_stuck_example_is_not_folded():
+    assert STUCK_AT_A_ROOTS_END._contraction is None
 
 
 def test_enumerated_cycles_are_valid(honeycomb):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import CROSS_VERTICES, HEX_VERTICES, random_strongly_connected_graph
+from helpers import CROSS_VERTICES, HEX_VERTICES, random_strongly_connected_graph, subdivide
 from oracles import brute_cycles
 from velo import (
     Edge,
@@ -209,6 +210,35 @@ def small_graphs(draw):
     return DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges))
 
 
+@st.composite
+def packed_graphs(draw):
+    """At most 4 vertices and 8 edges with displacements up to 40 in size,
+    up to three edges cut into chains, so core edges stand for up to 4 edges."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edge = st.builds(Edge, vertex, vertex, st.tuples(*[st.integers(-40, 40)] * dim))
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    g = DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges))
+    picks = draw(st.lists(st.integers(0, len(edges) - 1), max_size=3, unique=True))
+    return subdivide(g, {eid: draw(st.integers(1, 3)) for eid in picks})
+
+
+# each has a cycle with a digit at +-(B - 1)/2, the largest the packing allows
+@given(packed_graphs())
+@example(parse_dgf("dim 1\nvertex A\nedge A A -5"))  # B = 11, displacement digit -5
+@example(parse_dgf("dim 1\nvertex A\nedge A A 5"))  # B = 11, displacement digit 5
+@example(parse_dgf("dim 2\nvertex A\nedge A A -5 5"))  # both signs in one code
+@example(parse_dgf("dim 1\nvertex A\nvertex B\nedge A B -3\nedge B A -2"))  # -5 from two
+@example(subdivide(parse_dgf("dim 1\nvertex A\nedge A A 0"), {0: 2}))  # length digit 3
+def test_cycle_pairs_match_brute_force(g):
+    expected = Counter(
+        (tuple(map(sum, zip(*(g.edges[eid].displacement for eid in c)))), len(c))
+        for c in brute_cycles(g)
+    )
+    assert GraphAnalysis(g).cycle_pairs == expected
+
+
 @given(small_graphs())
 def test_analysis_matches_brute_force_cycles(g):
     cycles = brute_cycles(g)
@@ -233,7 +263,7 @@ def test_analysis_matches_brute_force_cycles(g):
         verdict = VERDICT_QUOTIENT
 
     an = GraphAnalysis(g)
-    assert [c.edges for c in an.cycles] == cycles
+    assert list(an.cycles) == cycles
     rep = an.report
     assert (rep.cycle_lattice_rank, rep.lattice_index, rep.cone_full, rep.verdict) == (
         rank, index, cone_full, verdict
