@@ -529,7 +529,11 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    token = text.strip()
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def polytope_to_dict(p: Polytope) -> dict:
@@ -556,7 +560,7 @@ def polytope_from_dict(data: dict) -> Polytope:
                 isinstance(v, list) and all(isinstance(c, str) for c in v) for v in rows):
             raise TypeError("dim must be an integer and vertices lists of strings")
         vertices = [tuple(parse_rational(c) for c in v) for v in rows]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polytope JSON: {exc}") from None
     return convex_hull(vertices, dim=dim)
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, partial
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, UnreachableError
@@ -29,6 +29,11 @@ class Edge(NamedTuple):
     source: int
     target: int
     displacement: IntVec
+
+
+# Edge from one (source, target, displacement) triple, without the Python-level
+# call of Edge.__new__: parse_dgf and realize build every edge with it.
+_edge = partial(tuple.__new__, Edge)
 
 
 @dataclass(frozen=True)
@@ -51,14 +56,12 @@ class DisplacementGraph:
             raise ValueError("graph must declare at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex names must be unique")
-        n = len(self.vertices)
-        for i, e in enumerate(self.edges):
-            if not (0 <= e.source < n and 0 <= e.target < n):
+        n, dim = len(self.vertices), self.dim
+        for i, (source, target, disp) in enumerate(self.edges):
+            if not (0 <= source < n and 0 <= target < n):
                 raise ValueError(f"edge {i} references an invalid vertex index")
-            if len(e.displacement) != self.dim:
-                raise ValueError(
-                    f"edge {i} displacement has {len(e.displacement)} entries, expected {self.dim}"
-                )
+            if len(disp) != dim:
+                raise ValueError(f"edge {i} displacement has {len(disp)} entries, expected {dim}")
 
     @cached_property
     def _out(self) -> tuple[tuple[int, ...], ...]:
@@ -118,10 +121,6 @@ class DisplacementGraph:
         return max((inf_norm(e.displacement) for e in self.edges), default=0)
 
 
-def _is_vertex_name(token: str) -> bool:
-    return token.isascii() and token.isidentifier()
-
-
 def parse_dgf(text: str | bytes) -> DisplacementGraph:
     """Parse the line-oriented DGF format.
 
@@ -132,18 +131,22 @@ def parse_dgf(text: str | bytes) -> DisplacementGraph:
         edge SRC DST x1 ... xD
 
     The ``dim`` line must come first; vertices must be declared before use.
+    Blank, whitespace-only and comment-only lines are skipped; lines end at
+    LF or CRLF.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     dim: int | None = None
-    names: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # in declaration order, so its keys are the names
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    parsed: dict[str, IntVec] = {}  # each displacement spelling, parsed once and shared
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(None, 3)  # an edge's displacement text stays whole
+        if not parts:
             continue
-        parts = line.split()
         keyword = parts[0]
         if keyword == "dim":
             if dim is not None:
@@ -162,16 +165,21 @@ def parse_dgf(text: str | bytes) -> DisplacementGraph:
             if len(parts) != 2:
                 raise DgfError("expected exactly one name after 'vertex'", lineno)
             name = parts[1]
-            if not _is_vertex_name(name):
+            if not (name.isascii() and name.isidentifier()):
                 raise DgfError(f"invalid vertex name {name!r}", lineno)
             if name in index:
                 raise DgfError(f"duplicate vertex name {name!r}", lineno)
-            index[name] = len(names)
-            names.append(name)
+            index[name] = len(index)
         elif keyword == "edge":
+            try:
+                edges.append(_edge((index[parts[1]], index[parts[2]], parsed[parts[3]])))
+                continue
+            except LookupError:  # a new spelling or a bad line: check it in order
+                pass
             if dim is None:
                 raise DgfError("'edge' before 'dim'", lineno)
-            if len(parts) != 3 + dim:
+            entries = parts[3].split() if len(parts) == 4 else []
+            if len(entries) != dim:
                 raise DgfError(
                     f"expected 'edge SRC DST' followed by {dim} displacement entries", lineno
                 )
@@ -179,26 +187,26 @@ def parse_dgf(text: str | bytes) -> DisplacementGraph:
                 if endpoint not in index:
                     raise DgfError(f"undeclared vertex {endpoint!r}", lineno)
             try:
-                disp = tuple(int(tok) for tok in parts[3:])
+                parsed[parts[3]] = tuple(map(int, entries))
             except ValueError:
                 raise DgfError("displacement entries must be integers", lineno) from None
-            edges.append(Edge(index[parts[1]], index[parts[2]], disp))
+            edges.append(_edge((index[parts[1]], index[parts[2]], parsed[parts[3]])))
         else:
             raise DgfError(f"unknown directive {keyword!r}", lineno)
     if dim is None:
         raise DgfError("missing dim declaration")
-    if not names:
+    if not index:
         raise DgfError("graph declares no vertices")
-    return DisplacementGraph(dim, tuple(names), tuple(edges))
+    return DisplacementGraph(dim, tuple(index), tuple(edges))
 
 
 def serialize_dgf(g: DisplacementGraph) -> str:
     """Canonical DGF text: the dim line, vertices, then edges, in declaration order."""
+    names = g.vertices
+    coords = {d: " ".join(map(str, d)) for d in set(map(itemgetter(2), g.edges))}
     lines = [f"dim {g.dim}"]
-    lines.extend(f"vertex {name}" for name in g.vertices)
-    for e in g.edges:
-        coords = " ".join(str(c) for c in e.displacement)
-        lines.append(f"edge {g.vertices[e.source]} {g.vertices[e.target]} {coords}")
+    lines.extend([f"vertex {name}" for name in names])
+    lines.extend([f"edge {names[s]} {names[t]} {coords[d]}" for s, t, d in g.edges])
     return "\n".join(lines) + "\n"
 
 

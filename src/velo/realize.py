@@ -11,10 +11,11 @@ budget, checked before any vertex is built.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 from .errors import BudgetError
 from .geometry import Polytope, convex_hull
-from .graph import DisplacementGraph, Edge
+from .graph import DisplacementGraph, _edge
 from .invariants import DEFAULT_ORACLE_BUDGET, velocity_polytope
 
 DEFAULT_REALIZE_BUDGET = 5_000_000
@@ -33,11 +34,10 @@ def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> Displacemen
         raise BudgetError(
             f"realize vertex budget of {budget} exceeded: the ring needs lcm {scale} vertices"
         )
-    vertices = tuple(f"u{i}" for i in range(1, scale + 1))
-    edges = [Edge(j, j + 1, (0,) * p.dim) for j in range(scale - 1)]
-    for w in hull.vertices:
-        edges.append(Edge(scale - 1, 0, tuple(int(scale * c) for c in w)))
-    return DisplacementGraph(p.dim, vertices, tuple(edges))
+    vertices = tuple(map("u{}".format, range(1, scale + 1)))
+    ring = zip(range(scale - 1), range(1, scale), repeat((0,) * p.dim))  # one shared zero
+    closing = ((scale - 1, 0, tuple(int(scale * c) for c in w)) for w in hull.vertices)
+    return DisplacementGraph(p.dim, vertices, tuple(map(_edge, chain(ring, closing))))
 
 
 def roundtrip_check(p: Polytope, *, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the production algorithms.
 
 Nothing here shares code paths with the library: cycles come from plain DFS,
-strongly connected components from mutual reachability, window distances
+strongly connected components from mutual reachability, DGF text from a
+token-by-token reading of the grammar, window distances
 from a BFS over (vertex, coordinates) tuples, and membership,
 gauge values and facets come from enumerating small point subsets and solving
 exact linear systems, never from the simplex solver or the hull.
@@ -56,6 +57,69 @@ def brute_sccs(g: DisplacementGraph) -> tuple[tuple[int, ...], ...]:
         reach.append(seen)
     return tuple(sorted({tuple(w for w in sorted(reach[v]) if v in reach[w])
                          for v in range(len(g.vertices))}))
+
+
+def reference_dgf(text: str | bytes):
+    """The DGF grammar read line by line and token by token.
+
+    Returns ``("graph", dim, names, edges)``, with names a tuple and edges a
+    list of (source index, target index, displacement tuple), or ``("error",
+    message, line)`` for the first error, where line is None for an error of
+    the whole file.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    dim, names, edges = None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        keyword, args = tokens[0], tokens[1:]
+        if keyword == "dim":
+            if dim is not None:
+                return "error", "duplicate dim declaration", lineno
+            if len(args) != 1:
+                return "error", "expected exactly one value after 'dim'", lineno
+            try:
+                dim = int(args[0])
+            except ValueError:
+                return "error", f"invalid dimension {args[0]!r}", lineno
+            if dim < 1:
+                return "error", "dimension must be >= 1", lineno
+        elif keyword == "vertex":
+            if dim is None:
+                return "error", "'vertex' before 'dim'", lineno
+            if len(args) != 1:
+                return "error", "expected exactly one name after 'vertex'", lineno
+            name = args[0]
+            if not (name.isascii() and name.isidentifier()):
+                return "error", f"invalid vertex name {name!r}", lineno
+            if name in names:
+                return "error", f"duplicate vertex name {name!r}", lineno
+            names.append(name)
+        elif keyword == "edge":
+            if dim is None:
+                return "error", "'edge' before 'dim'", lineno
+            if len(args) != 2 + dim:
+                return ("error", f"expected 'edge SRC DST' followed by {dim} displacement entries",
+                        lineno)
+            for endpoint in args[:2]:
+                if endpoint not in names:
+                    return "error", f"undeclared vertex {endpoint!r}", lineno
+            entries = []
+            for token in args[2:]:
+                try:
+                    entries.append(int(token))
+                except ValueError:
+                    return "error", "displacement entries must be integers", lineno
+            edges.append((names.index(args[0]), names.index(args[1]), tuple(entries)))
+        else:
+            return "error", f"unknown directive {keyword!r}", lineno
+    if dim is None:
+        return "error", "missing dim declaration", None
+    if not names:
+        return "error", "graph declares no vertices", None
+    return "graph", dim, tuple(names), edges
 
 
 def bfs_window(

@@ -229,6 +229,15 @@ def test_simulate_rejects_cycle_indices_that_are_not_integers(fixture_files, ind
     )
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--weights", "1/0,1"),
+    ("anisotropy", "--metric", "1/0,0;0,1"),
+])
+def test_zero_denominator_in_a_rational_is_an_error_line(fixture_files, command, flag, value, capsys):
+    args = [command, fixture_files["honeycomb"], flag, value]
+    assert run_cli(args, capsys) == (1, "", "error: zero denominator in '1/0'\n")
+
+
 def test_simulate_counts_past_its_indices_under_the_budget(fixture_files, capsys, monkeypatch):
     # index 20 is out of range, and counting the 9 cycles to say so meets the budget of 5
     monkeypatch.setenv("VELO_BUDGET", "5")
@@ -308,6 +317,7 @@ def test_realize_malformed_json(tmp_path, capsys):
     '{"dim": 1.9, "vertices": [["1"], ["-1"]]}',
     '{"dim": true, "vertices": [["1"], ["-1"]]}',
     '[["1"], ["-1"]]',
+    '{"dim": 1, "vertices": [["1/0"]]}',
 ])
 def test_realize_rejects_polytope_json_of_the_wrong_types(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

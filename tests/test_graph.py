@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import HONEYCOMB_DGF, random_gauge, random_graph, random_walk
-from oracles import bfs_window
+from oracles import bfs_window, reference_dgf
 from velo import (
     BudgetError,
     DgfError,
@@ -102,6 +102,81 @@ def test_parse_accepts_bytes(honeycomb):
     assert parse_dgf(HONEYCOMB_DGF.encode()) == honeycomb
 
 
+# Entries and names for random DGF text: one integer has several spellings,
+# and a few entries and names are not valid at all.
+_ENTRIES = ("0", "1", "+1", "01", "-1", "-0", "+0", "2", "-02", "1_0")
+_BAD_ENTRIES = ("x", "1.5", "--1", "0x1")
+_NAMES = ("A", "B", "C", "v_1", "w2")
+_BAD_NAMES = ("9bad", "caf\u00e9", "a-b", "a.b")
+_BLANKS = (" ", "  ", "\t", " \t ", "\u00a0")
+
+
+@st.composite
+def dgf_texts(draw):
+    """DGF text with comments, comment-only, blank and whitespace-only lines,
+    tabs and no-break spaces around and between tokens, LF and CRLF line ends, and now and then a line in error (wrong
+    arity, a non-integer entry, an undeclared, duplicate or invalid vertex, a
+    misplaced or malformed directive); as str or as UTF-8 bytes."""
+    def rare() -> bool:
+        return draw(st.integers(0, 11)) == 0
+
+    dim = draw(st.integers(1, 3))
+    declared: list[str] = []
+    rows = [] if rare() else [["dim", str(dim)]]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("vertex", "edge", "edge", "edge", "comment", "blank")))
+        if rare():
+            rows.append(draw(st.sampled_from((
+                ["edge", "A", "A"] + [draw(st.sampled_from(_BAD_ENTRIES))] * dim,
+                ["edge", "A", "Z"] + ["0"] * dim, ["edge", "A", "A"] + ["1"] * (dim + 1),
+                ["vertex", draw(st.sampled_from(_BAD_NAMES + _NAMES))], ["vertex", "A", "B"],
+                ["vertex"], ["dim", "2"], ["dim", "x"], ["dim"], ["dim", "0"], ["node", "A"]))))
+        elif kind == "vertex" or (kind == "edge" and not declared):
+            name = next(name for name in _NAMES + tuple(f"v{i}" for i in range(15))
+                        if name not in declared)
+            declared.append(name)
+            rows.append(["vertex", name])
+        elif kind == "edge":
+            ends = [draw(st.sampled_from(declared)) for _ in range(2)]
+            rows.append(["edge"] + ends + [draw(st.sampled_from(_ENTRIES)) for _ in range(dim)])
+        elif kind == "comment":
+            rows.append(["#", "note", "#", "edge"])
+        else:
+            rows.append([])
+    lines = []
+    for row in rows:
+        pad = [draw(st.sampled_from(("",) + _BLANKS)) for _ in range(2)]
+        sep = draw(st.sampled_from(_BLANKS))
+        note = draw(st.sampled_from(("", "", " # tail", "# edge A A 1")))
+        end = draw(st.sampled_from(("\n", "\r\n")))
+        lines.append(pad[0] + sep.join(row) + pad[1] + note + end)
+    text = "".join(lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text.encode() if draw(st.booleans()) else text
+
+
+@given(dgf_texts())
+@example("dim 1\n \t \nvertex A\r\nedge A A +1 # c\nedge A A 01\r\n")
+@example("dim 2\nvertex A\nedge A A 1\nedge A A 1 1\nedge A B 1 2\n")
+@example("dim 1\r\nvertex A\r\n\t\r\nvertex A\r\n")
+@example(b"# header\ndim x\n")
+@example("  \ndim 0\n")
+@example("dim 1 2\n")
+@example("dim 1\nvertex A\nedge A A 1\nedge A 1\n")
+def test_parse_dgf_matches_the_reference_parser(text):
+    expected = reference_dgf(text)
+    if expected[0] == "graph":
+        g = parse_dgf(text)
+        assert ("graph", g.dim, g.vertices, list(g.edges)) == expected
+        return
+    _, message, line = expected
+    with pytest.raises(DgfError) as exc:
+        parse_dgf(text)
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+    assert exc.value.line == line
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         DisplacementGraph(1, (), ())
@@ -109,6 +184,22 @@ def test_graph_validation():
         DisplacementGraph(1, ("A",), (Edge(0, 1, (0,)),))
     with pytest.raises(ValueError):
         DisplacementGraph(2, ("A",), (Edge(0, 0, (0,)),))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Edge(-1, 0, (0, 0)), "references an invalid vertex index"),
+    (Edge(0, 2, (0, 0)), "references an invalid vertex index"),
+    (Edge(1, 0, (0,)), "displacement has 1 entries, expected 2"),
+    (Edge(1, 0, (0, 0, 0)), "displacement has 3 entries, expected 2"),
+])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_graph_validation_names_the_first_bad_edge(bad, message, at):
+    edges = [Edge(0, 1, (1, 0)), Edge(1, 0, (0, 1)), Edge(1, 1, (0, 0))]
+    edges.insert(at, bad)
+    edges.append(Edge(0, 5, (0,)))  # a later bad edge is not the one named
+    with pytest.raises(ValueError) as exc:
+        DisplacementGraph(2, ("A", "B"), tuple(edges))
+    assert str(exc.value) == f"edge {at} {message}"
 
 
 # ---------------------------------------------------------------------------

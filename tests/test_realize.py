@@ -11,8 +11,10 @@ from velo import (
     anisotropy,
     convex_hull,
     enumerate_cycles,
+    parse_dgf,
     realize,
     roundtrip_check,
+    serialize_dgf,
     strongly_connected_components,
     velocity_polytope,
 )
@@ -49,6 +51,15 @@ def test_realize_hexagon():
     assert len(g.vertices) == 2  # lcm of the halves
     assert len(g.edges) == 7  # one zero edge plus six closing edges
     assert roundtrip_check(p)
+
+
+def test_realized_lcm_27720_ring_survives_a_dgf_round_trip():
+    # denominators 8, 9, 5, 7 and 11: a ring of 27,720 vertices and 27,719 zero edges
+    p = convex_hull([(F(1, 8), F(0), F(0)), (F(0), F(1, 9), F(0)), (F(0), F(0), F(1, 5)),
+                     (F(-1, 7), F(-1, 11), F(-1))])
+    g = realize(p)
+    assert len(g.vertices) == 27_720
+    assert parse_dgf(serialize_dgf(g)) == g
 
 
 def test_realize_structure_random():
