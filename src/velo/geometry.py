@@ -423,10 +423,13 @@ def polytope_distance_inf(p: Polytope, x: Sequence) -> Fraction:
 
     P + t*[-1, 1]^d has the same normals for every t > 0, and a facet a.y <= b
     of P + [-1, 1]^d has b = h_P(a) + |a|_1, so x lies in it iff a.x <= b + (t-1)|a|_1.
+    A point on the inner side of every facet of P is at distance 0 without that hull.
     """
     if p.is_empty:
         raise ValueError("distance to the empty polytope is undefined")
     q = as_qvec(x, p.dim)
+    if satisfies_facets(p, q):  # None for a flat P
+        return _ZERO
     corners = list(product((-1, 1), repeat=p.dim))
     thick = convex_hull([tuple(c + s for c, s in zip(v, cs)) for v in p.vertices for cs in corners])
     dist = _ZERO

@@ -400,13 +400,21 @@ def bfs_distance(
     Unreachable within a window is an upper-bound artifact: the full periodic
     graph may still connect the two nodes outside the window.
 
-    The search runs level by level over one byte of "seen" flag per node, in
-    its own layout: vertex index fastest, then the coordinates, each axis
-    padded on both sides by the largest |displacement| on that axis.  The
-    padding starts out seen, so a step that leaves the window lands on a seen
-    byte and every edge is a fixed id offset with no bounds test.  An edge
-    with some |displacement| > 2 * radius can never stay inside the window
-    and is dropped, which keeps the padding at most 2 * radius per side.
+    The search runs from both ends (Pohl 1971), one whole level of the smaller
+    frontier at a time, over one byte of seen flags per node in its own
+    layout: vertex index fastest, then the coordinates, each axis padded on
+    both sides by the largest |displacement| on that axis.  Bit 1 marks nodes
+    reached from the source, bit 2 nodes reached backwards from the target,
+    and the padding starts out as 3, so a step either way that leaves the
+    window lands on a seen byte and every edge is a fixed id offset with no
+    bounds test.  An edge with some |displacement| > 2 * radius can never
+    stay inside the window and is dropped, which keeps the padding at most
+    2 * radius per side.
+
+    The first node one side reaches that the other has seen gives the
+    distance, the sum of both depths: before that level no node within
+    forward depth k and backward depth b was seen by both, so the distance
+    exceeds k + b.  An empty frontier on either side means no path.
     """
     for endpoint in (source, target):
         if not patch.contains(endpoint):
@@ -425,38 +433,48 @@ def bfs_distance(
     src, dst = node(*source), node(*target)
     if src == dst:
         return 0
-    # everything seen but the window itself, cleared in runs of nv * width bytes
-    seen = bytearray(b"\x01") * size
+    # seen by both sides but the window itself, cleared in runs of nv * width bytes
+    seen = bytearray(b"\x03") * size
     starts = [node(0, [-r] * g.dim)]
     for stride in strides[1:]:
         starts = [a + stride * i for a in starts for i in range(width)]
     clear = bytes(nv * width)
     for a in starts:
         seen[a:a + len(clear)] = clear
-    # the id offsets of the distinct moves out of each vertex
-    moves: list[set[int]] = [set() for _ in range(nv)]
+    # side 0 searches from the source and marks 1, side 1 from the target and marks 2;
+    # the id offsets of the distinct moves out of (side 0) and into (side 1) each vertex
+    moves: list[list[set[int]]] = [[set() for _ in range(nv)] for _ in range(2)]
     for e in edges:
-        moves[e.source].add(e.target - e.source + sum(map(mul, strides, e.displacement)))
+        off = e.target - e.source + sum(map(mul, strides, e.displacement))
+        moves[0][e.source].add(off)
+        moves[1][e.target].add(-off)
+    seen[src], seen[dst] = 1, 2
     # one frontier list per quotient vertex, so each move runs over a whole list
-    seen[src] = 1
-    frontier: list[list[int]] = [[] for _ in range(nv)]
-    frontier[source[0]].append(src)
-    depth = 0
-    while any(frontier):
+    frontiers: list[list[list[int]]] = [[[] for _ in range(nv)] for _ in range(2)]
+    frontiers[0][source[0]].append(src)
+    frontiers[1][target[0]].append(dst)
+    sizes = [1, 1]
+    depth = 0  # forward depth + backward depth
+    while True:
+        side = sizes[1] < sizes[0]
+        mark, other = 1 + side, 2 - side
         depth += 1
         nxt: list[list[int]] = [[] for _ in range(nv)]
-        for v, ids in enumerate(frontier):
-            for off in moves[v]:
+        for v, ids in enumerate(frontiers[side]):
+            for off in moves[side][v]:
                 out = nxt[(v + off) % nv]
                 for nid in ids:
                     t = nid + off
-                    if not seen[t]:
-                        seen[t] = 1
+                    s = seen[t]
+                    if not s:
+                        seen[t] = mark
                         out.append(t)
-        if seen[dst]:
-            return depth
-        frontier = nxt
-    return None
+                    elif s == other:
+                        return depth
+        sizes[side] = sum(map(len, nxt))
+        if not sizes[side]:
+            return None
+        frontiers[side] = nxt
 
 
 def gamma_norm_oracle(

@@ -153,6 +153,17 @@ def test_cycles_json(fixture_files, capsys):
     assert json.loads(out) == {"count": 2, "cycles": [[0], [1]]}
 
 
+def test_cycles_json_is_the_indented_dump(fixture_files, chain_files, tmp_path, capsys):
+    acyclic = tmp_path / "acyclic.dgf"
+    acyclic.write_text("dim 1\nvertex A\nvertex B\nedge A B 1\nedge A B -1\n")
+    for path in (*fixture_files.values(), *chain_files.values(), str(acyclic)):
+        cycles = [c.edges for c in enumerate_cycles(parse_dgf(Path(path).read_text()))]
+        payload = {"count": len(cycles), "cycles": cycles}
+        assert run_cli(["cycles", path, "--json"], capsys) == (
+            0, json.dumps(payload, indent=2) + "\n", ""
+        )
+
+
 def _cycle_route(g: DisplacementGraph, cycle: Cycle) -> str:
     """One route, rendered part by part from a Cycle: the reference for `cycles`."""
     parts = [g.vertices[g.edges[cycle.edges[0]].source]]
@@ -269,6 +280,29 @@ def test_simulate_reads_only_the_cycles_it_needs(tmp_path, capsys, monkeypatch):
     velocities = [[F(d, len(c)) for d in path_displacement(g, c)] for c in read]
     mean = [(a + b) / 2 for a, b in zip(*velocities)]
     assert out.startswith("target " + " ".join(map(format_rational, mean)) + "\n")
+
+
+def test_simulate_reads_polytope_gap_off_the_facets(tmp_path, capsys, monkeypatch):
+    import velo.geometry
+
+    path = tmp_path / "dia.dgf"
+    path.write_text(DIAMOND_DGF)
+    original, hulls = velo.geometry.convex_hull, []
+
+    def counting(points, **kwargs):
+        hulls.append(points)
+        return original(points, **kwargs)
+
+    monkeypatch.setattr(velo.geometry, "convex_hull", counting)
+    assert run_cli(["simulate", str(path), "--weights", "2/3,1/3", "--kmax", "24"], capsys) == (
+        0,
+        "target -1/6 0 0\nsteps 4452\nvelocity -115/742 0 0\ntarget_gap 13/1113\npolytope_gap 0\n",
+        "",
+    )
+    assert hulls == []  # the velocity satisfies every facet of P, so no P + [-1, 1]^3
+    poly = velocity_polytope(parse_dgf(DIAMOND_DGF))
+    assert velo.geometry.polytope_distance_inf(poly, (1, 0, 0)) == F(1, 2)
+    assert len(hulls) == 1 and len(hulls[0]) == 8 * len(poly.vertices)  # outside P it is built
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +556,24 @@ def test_pinned_cross_polytope_4d(tmp_path, capsys):
         ["dim 4\n"]
         + [f"vertex {u}\n" for u in sorted(units, key=lambda u: [int(c) for c in u.split()])]
         + [f"facet {s} <= 1\n" for s in signs]
+    )
+
+
+# the base cells at the largest n of the benchmark's oracle jobs
+ORACLE_PINS = [
+    ("sq", "64", "1 2", 3), ("sq", "64", "-2 1", 3), ("sq", "64", "0 -3", 3),
+    ("hc", "64", "2 1", 4), ("hc", "64", "-1 -2", 4), ("hc", "64", "1 -1", 4),
+    ("cub", "12", "1 1 0", 2), ("cub", "12", "0 -1 1", 2), ("cub", "12", "-1 2 1", 4),
+    ("dia", "12", "1 1 0", 4), ("dia", "12", "-1 0 -1", 4), ("dia", "12", "1 -1 1", 4),
+]
+
+
+@pytest.mark.parametrize("name, n, x, norm", ORACLE_PINS)
+def test_pinned_oracle_on_base_cells(tmp_path, name, n, x, norm, capsys):
+    path = tmp_path / f"{name}.dgf"
+    path.write_text(nets.dgf_text(nets.BASE[name]))
+    assert run_cli(["norm", str(path), *x.split(), "--oracle", "--n", n], capsys) == (
+        0, f"{norm}\noracle {norm}\ngap 0\n", ""
     )
 
 

@@ -376,6 +376,9 @@ def polytope_queries(draw):
 @example(([(F(1), F(0)), (F(2), F(0))], (F(3), F(0)), [(F(3, 2), F(0))]))  # 0 off the affine hull
 @example(([(F(0), F(0)), (F(1), F(0))], (F(1), F(1)), [(F(1, 2), F(0))]))  # x off the span
 @example(([(F(-1),), (F(1),)], (F(3, 2),), [(F(3, 2),)]))  # x outside an interval
+@example(([(F(0), F(0)), (F(2), F(0)), (F(0), F(2))], (F(1), F(1)), [(F(1), F(0))]))  # on a facet
+@example(([(F(0), F(0)), (F(2), F(0)), (F(0), F(2))], (F(1), F(101, 100)), [(F(1), F(0))]))  # just out
+@example(([(F(0), F(0)), (F(2), F(0))], (F(1), F(0)), [(F(1, 2), F(0))]))  # inside a flat P
 def test_facet_queries_match_references(query):
     pts, x, inner_pts = query
     p, inner = convex_hull(pts), convex_hull(inner_pts)

@@ -378,10 +378,26 @@ def _pair(there, back):
     return DisplacementGraph(len(there), ("A", "B"), (Edge(0, 1, there), Edge(1, 0, back)))
 
 
+def _net(*edges):
+    """Vertices 0..m in d = 1, one edge per (source, target, displacement)."""
+    n = 1 + max(max(s, t) for s, t, _ in edges)
+    return DisplacementGraph(1, tuple(f"v{i}" for i in range(n)),
+                             tuple(Edge(s, t, (d,)) for s, t, d in edges))
+
+
+# The search expands the smaller frontier, the source's on a tie; where the
+# source below has two moves into the window, the target's side runs second.
 @given(windows())
 @example((_loops((1,)), 3, (0, (0,)), (0, (-1,))))  # unreachable
 @example((_loops((4,), (-3,)), 2, (0, (-2,)), (0, (-1,))))  # a move of exactly 2 * radius
 @example((_pair((5, 0), (-1, 1)), 2, (0, (0, 0)), (1, (0, 0))))  # A -> B leaves every window
+# the target's only in-move comes from outside the window: the backward side empties first
+@example((_net((0, 0, 1), (0, 0, -1), (0, 1, 3), (1, 0, 0)), 2, (0, (0,)), (1, (0,))))
+# the sides meet at v1, which is neither endpoint's vertex
+@example((_net((0, 0, 1), (0, 1, 1), (1, 2, 0), (2, 0, -1)), 2, (0, (0,)), (2, (1,))))
+@example((_pair((1, 0), (0, 1)), 1, (0, (0, 0)), (1, (1, 0))))  # one edge apart
+# the backward side takes the v1 -> v0 edge of displacement 4 = 2 * radius, from 2 to -2
+@example((_net((0, 1, 0), (1, 0, 4), (0, 0, -1), (0, 0, 1)), 2, (0, (-2,)), (0, (2,))))
 def test_bfs_matches_tuple_bfs(case):
     g, radius, source, target = case
     assert bfs_distance(unroll(g, radius), source, target) == bfs_window(g, radius, source, target)
