@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands cover the whole pipeline: polytope, norm, cycles, simulate,
-realize, check-morphism, anisotropy, report.  All numeric output is exact
-rational text; exit codes are 0 (success), 1 (input error), 2 (budget
-exceeded), 3 (connectivity verdict failure).  The VELO_BUDGET environment
-variable overrides every default resource budget at once.
+realize, check-morphism, anisotropy, report.  Each command with --json builds
+one payload and renders it either as indented JSON or as text lines read off
+that same payload.  All numeric output is exact rational text; exit codes are
+0 (success), 1 (input error), 2 (budget exceeded), 3 (connectivity verdict
+failure).  The VELO_BUDGET environment variable overrides every default
+resource budget at once.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, schedule_totals
 from .errors import BudgetError, DgfError, NotStronglyConnectedError, VeloError
 from .geometry import (
     Anisotropy,
-    Polytope,
     anisotropy,
     contains_polytope,
     format_rational,
@@ -30,7 +31,6 @@ from .geometry import (
     polytope_distance_inf,
     polytope_from_json,
     polytope_to_dict,
-    polytope_to_json,
 )
 from .graph import (
     DEFAULT_PATCH_BUDGET,
@@ -76,29 +76,43 @@ def _analyze(path: str, budgets: Budgets) -> GraphAnalysis:
     )
 
 
-def _polytope_text(p: Polytope, note: str | None = None) -> str:
-    lines = [f"dim {p.dim}"]
-    if p.is_empty:
-        lines.append("empty polytope" + (f" ({note})" if note else ""))
-    else:
-        for v in p.vertices:
-            lines.append("vertex " + " ".join(format_rational(c) for c in v))
-        if p.facets is not None:
-            for f in p.facets:
-                lines.append(
-                    "facet " + " ".join(str(c) for c in f.normal) + f" <= {f.offset}"
-                )
-    return "\n".join(lines) + "\n"
+def _word(value) -> str:
+    """One payload value as text: lists space-separated, booleans as true/false, None as -."""
+    if isinstance(value, list):
+        return " ".join(map(_word, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "-" if value is None else str(value)
 
 
-def _verdict_lines(rep: ConnectivityReport) -> list[str]:
-    return [
-        f"verdict {rep.verdict}",
-        f"scc_count {rep.scc_count}",
-        f"cycle_lattice_rank {rep.cycle_lattice_rank}",
-        f"lattice_index {rep.lattice_index if rep.lattice_index is not None else '-'}",
-        f"cone_full {'true' if rep.cone_full else 'false'}",
-    ]
+def _lines(payload: dict, *skip: str) -> list[str]:
+    """A ``key value`` line per payload entry, except the skipped keys."""
+    return [f"{key} {_word(value)}" for key, value in payload.items() if key not in skip]
+
+
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> int:
+    """Write the payload as indented JSON under --json, else its text lines."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.json else "\n".join(lines) + "\n")
+    return 0
+
+
+def _polytope_text(p: dict, note: str | None = None) -> list[str]:
+    """The text lines of a ``polytope_to_dict`` payload."""
+    lines = [f"dim {p['dim']}"]
+    if not p["vertices"]:
+        return lines + ["empty polytope" + (f" ({note})" if note else "")]
+    lines += ["vertex " + _word(v) for v in p["vertices"]]
+    return lines + [f"facet {_word(f['a'])} <= {f['b']}" for f in p.get("facets", ())]
+
+
+def _verdict(rep: ConnectivityReport) -> dict:
+    return {
+        "verdict": rep.verdict,
+        "scc_count": rep.scc_count,
+        "cycle_lattice_rank": rep.cycle_lattice_rank,
+        "lattice_index": rep.lattice_index,
+        "cone_full": rep.cone_full,
+    }
 
 
 def _anisotropy_dict(an: Anisotropy) -> dict:
@@ -107,80 +121,6 @@ def _anisotropy_dict(an: Anisotropy) -> dict:
         "circumradius2": format_rational(an.circumradius_sq),
         "isotropic": an.isotropic,
     }
-
-
-def _anisotropy_lines(an: Anisotropy) -> list[str]:
-    return [
-        f"inradius2 {format_rational(an.inradius_sq)}",
-        f"circumradius2 {format_rational(an.circumradius_sq)}",
-        f"isotropic {'true' if an.isotropic else 'false'}",
-    ]
-
-
-def _report_payload(analysis: GraphAnalysis) -> dict:
-    """Everything `report` prints, for both renderers.
-
-    A strongly connected quotient adds its polytope and its anisotropy (or the
-    ValueError saying why that is unavailable); otherwise the number of
-    components with a velocity polytope is given.
-    """
-    payload: dict = {  # the cycles first, so that the cycle budget is the first to run out
-        "graph": analysis.graph,
-        "cycles": analysis.cycle_count,
-        "velocities": analysis.velocities,
-        "report": analysis.report,
-    }
-    if analysis.report.scc_count == 1:
-        payload["polytope"] = poly = analysis.polytope
-        try:
-            payload["anisotropy"] = anisotropy(poly)
-        except ValueError as exc:
-            payload["anisotropy"] = exc
-    else:
-        payload["components"] = len(analysis.components)
-    return payload
-
-
-def _report_text(payload: dict) -> str:
-    g = payload["graph"]
-    lines = [
-        f"vertices {len(g.vertices)}",
-        f"edges {len(g.edges)}",
-        *_verdict_lines(payload["report"]),
-        f"cycles {payload['cycles']}",
-    ]
-    for v in payload["velocities"]:
-        lines.append("velocity " + " ".join(format_rational(c) for c in v))
-    if "polytope" in payload:
-        lines.append(_polytope_text(payload["polytope"], note="no cycles").rstrip("\n"))
-        an = payload["anisotropy"]
-        if isinstance(an, Anisotropy):
-            lines.extend(_anisotropy_lines(an))
-        else:
-            lines.append(f"anisotropy unavailable ({an})")
-    else:
-        lines.append(f"components {payload['components']}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_json(payload: dict) -> str:
-    g, rep = payload["graph"], payload["report"]
-    out: dict = {
-        "vertices": list(g.vertices),
-        "edges": len(g.edges),
-        "verdict": rep.verdict,
-        "scc_count": rep.scc_count,
-        "cycle_lattice_rank": rep.cycle_lattice_rank,
-        "lattice_index": rep.lattice_index,
-        "cone_full": rep.cone_full,
-        "cycles": payload["cycles"],
-        "basic_velocities": [[format_rational(c) for c in v] for v in payload["velocities"]],
-    }
-    if "polytope" in payload:
-        out["polytope"] = polytope_to_dict(payload["polytope"])
-        an = payload["anisotropy"]
-        out["anisotropy"] = _anisotropy_dict(an) if isinstance(an, Anisotropy) else None
-    return json.dumps(out, indent=2) + "\n"
 
 
 def _parse_rationals(text: str) -> list[Fraction]:
@@ -199,63 +139,46 @@ def cmd_polytope(args: argparse.Namespace, budgets: Budgets) -> int:
             svg = polytope_svg(poly)  # before the file is opened, which would empty it
             with open(args.svg, "w") as fh:
                 fh.write(svg)
-        if args.json:
-            sys.stdout.write(polytope_to_json(poly))
-        else:
-            sys.stdout.write(_polytope_text(poly, note="no cycles, so no trajectory exists"))
-        return 0
+        payload = polytope_to_dict(poly)
+        return _emit(args, payload, _polytope_text(payload, note="no cycles, so no trajectory exists"))
     if args.svg:
         return _fail("--svg requires a strongly connected quotient graph")
     g, comps = analysis.graph, analysis.sccs
-    if args.json:
-        payload = {
-            "dim": g.dim,
-            "components": [
-                {
-                    "scc": comp_id,
-                    "vertices": [g.vertices[v] for v in comps[comp_id]],
-                    "polytope": polytope_to_dict(poly),
-                }
-                for comp_id, poly in analysis.components
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [f"dim {g.dim}", f"components {len(analysis.components)}"]
-        for comp_id, poly in analysis.components:
-            names = ",".join(g.vertices[v] for v in comps[comp_id])
-            lines.append(f"component {comp_id} vertices {names}")
-            lines.append(_polytope_text(poly).rstrip("\n"))
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    payload = {
+        "dim": g.dim,
+        "components": [
+            {
+                "scc": comp_id,
+                "vertices": [g.vertices[v] for v in comps[comp_id]],
+                "polytope": polytope_to_dict(poly),
+            }
+            for comp_id, poly in analysis.components
+        ],
+    }
+    lines = [f"dim {g.dim}", f"components {len(payload['components'])}"]
+    for comp in payload["components"]:
+        lines.append(f"component {comp['scc']} vertices {','.join(comp['vertices'])}")
+        lines += _polytope_text(comp["polytope"])
+    return _emit(args, payload, lines)
 
 
 def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
     analysis = _analyze(args.graph, budgets)
     rep = analysis.report
     if rep.verdict != VERDICT_STRONG:
-        sys.stderr.write("\n".join(_verdict_lines(rep)) + "\n")
+        sys.stderr.write("\n".join(_lines(_verdict(rep))) + "\n")
         print(f"error: graph is {rep.verdict}, not {VERDICT_STRONG}", file=sys.stderr)
         return 3
     x = tuple(args.x)
     value = gauge_norm(analysis.polytope, [Fraction(c) for c in x])
-    norm_text = "inf" if value is None else format_rational(value)
-    payload: dict = {"norm": norm_text}
-    lines = [norm_text]
+    payload: dict = {"norm": "inf" if value is None else format_rational(value)}
     if args.oracle:
         oracle = gamma_norm_oracle(analysis.graph, x, args.n, patch_budget=budgets.patch)
         payload["n"] = args.n
         payload["oracle"] = format_rational(oracle)
-        lines.append(f"oracle {format_rational(oracle)}")
         if value is not None:
-            gap = abs(oracle - value)
-            payload["gap"] = format_rational(gap)
-            lines.append(f"gap {format_rational(gap)}")
-    if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+            payload["gap"] = format_rational(abs(oracle - value))
+    return _emit(args, payload, [payload["norm"], *_lines(payload, "norm", "n")])
 
 
 def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
@@ -265,6 +188,8 @@ def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
         payload = {"count": len(cycles), "cycles": cycles}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
+        # Routes are streamed rather than joined for _emit: on sq_4x4's 29,440
+        # cycles the text is megabytes, and one string of it would raise peak RSS.
         names = g.vertices
         steps = [f" -e{eid}-> {names[e.target]}" for eid, e in enumerate(g.edges)]
         sys.stdout.writelines(names[g.edges[c[0]].source] + "".join(map(steps.__getitem__, c))
@@ -312,15 +237,7 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
         "target_gap": format_rational(gap),
         "polytope_gap": format_rational(dist),
     }
-    if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        print("target " + " ".join(payload["target"]))
-        print(f"steps {steps}")
-        print("velocity " + " ".join(payload["velocity"]))
-        print(f"target_gap {payload['target_gap']}")
-        print(f"polytope_gap {payload['polytope_gap']}")
-    return 0
+    return _emit(args, payload, _lines(payload))
 
 
 def cmd_realize(args: argparse.Namespace, budgets: Budgets) -> int:
@@ -344,18 +261,39 @@ def cmd_check_morphism(args: argparse.Namespace, budgets: Budgets) -> int:
 def cmd_anisotropy(args: argparse.Namespace, budgets: Budgets) -> int:
     poly = _analyze(args.graph, budgets).polytope
     metric = _parse_metric(args.metric) if args.metric else None
-    an = anisotropy(poly, metric)
-    if args.json:
-        sys.stdout.write(json.dumps(_anisotropy_dict(an), indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(_anisotropy_lines(an)) + "\n")
-    return 0
+    payload = _anisotropy_dict(anisotropy(poly, metric))
+    return _emit(args, payload, _lines(payload))
 
 
 def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
-    payload = _report_payload(_analyze(args.graph, budgets))
-    sys.stdout.write(_report_json(payload) if args.json else _report_text(payload))
-    return 0
+    """Structure, cycles and velocities; for a strongly connected quotient
+    also its polytope and anisotropy (or why that is unavailable), else the
+    number of components with a velocity polytope."""
+    analysis = _analyze(args.graph, budgets)
+    g = analysis.graph
+    count, velocities = analysis.cycle_count, analysis.velocities  # the cycle budget runs out first
+    payload: dict = {
+        "vertices": list(g.vertices),
+        "edges": len(g.edges),
+        **_verdict(analysis.report),
+        "cycles": count,
+        "basic_velocities": [[format_rational(c) for c in v] for v in velocities],
+    }
+    lines = [f"vertices {len(g.vertices)}", *_lines(payload, "vertices", "basic_velocities")]
+    lines += ["velocity " + _word(v) for v in payload["basic_velocities"]]
+    if analysis.report.scc_count == 1:
+        poly = analysis.polytope
+        payload["polytope"] = polytope_to_dict(poly)
+        lines += _polytope_text(payload["polytope"], note="no cycles")
+        try:
+            payload["anisotropy"] = _anisotropy_dict(anisotropy(poly))
+            lines += _lines(payload["anisotropy"])
+        except ValueError as exc:
+            payload["anisotropy"] = None
+            lines.append(f"anisotropy unavailable ({exc})")
+    else:
+        lines.append(f"components {len(analysis.components)}")
+    return _emit(args, payload, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,8 @@ class DgfError(VeloError):
 
 
 class BudgetError(VeloError):
-    """A configured resource budget (patch size, cycle count, prefix length) would be exceeded."""
+    """A configured resource budget would be exceeded: patch size, cycle count,
+    prefix length, oracle relaxations or realize ring vertices."""
 
 
 class NotStronglyConnectedError(VeloError):

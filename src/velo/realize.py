@@ -22,21 +22,24 @@ DEFAULT_REALIZE_BUDGET = 5_000_000
 
 
 def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> DisplacementGraph:
-    """Displacement graph realizing the polytope as its velocity polytope.
+    """Displacement graph whose velocity polytope is conv(``p.vertices``).
 
-    Raises BudgetError when the ring would need more than ``budget`` vertices.
+    The vertices are read as given, not hulled again: ``convex_hull`` and the
+    JSON loader already leave only extreme points.  A hand-built ``Polytope``
+    with a repeated or non-extreme vertex still gets a correct graph, with one
+    more closing edge whose velocity lies inside the hull.  Raises BudgetError
+    when the ring would need more than ``budget`` vertices.
     """
     if p.is_empty:
         raise ValueError("cannot realize the empty polytope")
-    hull = convex_hull(p.vertices, dim=p.dim)
-    scale = math.lcm(*(c.denominator for v in hull.vertices for c in v))
+    scale = math.lcm(*(c.denominator for v in p.vertices for c in v))
     if scale > budget:
         raise BudgetError(
             f"realize vertex budget of {budget} exceeded: the ring needs lcm {scale} vertices"
         )
     vertices = tuple(map("u{}".format, range(1, scale + 1)))
     ring = zip(range(scale - 1), range(1, scale), repeat((0,) * p.dim))  # one shared zero
-    closing = ((scale - 1, 0, tuple(int(scale * c) for c in w)) for w in hull.vertices)
+    closing = ((scale - 1, 0, tuple(int(scale * c) for c in w)) for w in p.vertices)
     return DisplacementGraph(p.dim, vertices, tuple(map(_edge, chain(ring, closing))))
 
 

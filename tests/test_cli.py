@@ -324,6 +324,29 @@ def test_realize_hexagon_json(fixture_files, tmp_path, capsys):
     ).vertices
 
 
+@pytest.mark.parametrize("rows, hulls", [
+    ('["1/2", "0"], ["0", "1/3"], ["1/12", "2/45"], ["-1/4", "-1/5"], ["1/2", "0"]', 1),
+    ('["1/2", "0"], ["-1/2", "0"]', 1),
+    ('["1/3", "-1/3"]', 0),
+], ids=["noisy-triangle", "segment", "point"])
+def test_realize_builds_at_most_one_hull(tmp_path, rows, hulls, capsys, monkeypatch):
+    import velo.geometry
+
+    built = []
+
+    class Counting(velo.geometry._Hull):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(velo.geometry, "_Hull", Counting)
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"dim": 2, "vertices": [{rows}]}}')
+    code, out, _ = run_cli(["realize", str(path)], capsys)
+    assert code == 0 and out.startswith("dim 2\n")
+    assert len(built) == hulls  # the loader's hull; realize reads its vertices
+
+
 def test_realize_vertex_budget(tmp_path, capsys, monkeypatch):
     path = tmp_path / "p.json"
     path.write_text('{"dim": 2, "vertices": [["1/8", "0"], ["0", "1/9"], ["-1/5", "-1/7"]]}')

@@ -8,6 +8,7 @@ import pytest
 from helpers import HEX_VELOCITIES, random_rational_points
 from velo import (
     Edge,
+    Polytope,
     anisotropy,
     convex_hull,
     enumerate_cycles,
@@ -88,6 +89,18 @@ def test_roundtrip_integer_point():
     p = convex_hull([(F(3), F(-1))])
     g = realize(p)
     assert len(g.vertices) == 1
+    assert roundtrip_check(p)
+
+
+def test_realize_takes_a_hand_built_polytope_as_the_hull_of_its_vertices():
+    # a duplicate and an interior point are not hulled away: each becomes one
+    # more closing edge, whose velocity lies inside the triangle, and the
+    # interior point's denominators 12 and 45 lengthen the ring to lcm 180
+    corners = [(F(1, 2), F(0)), (F(0), F(1, 3)), (F(-1, 4), F(-1, 5))]
+    p = Polytope(2, (corners[0], (F(1, 12), F(2, 45)), *corners, corners[1]))
+    g = realize(p)
+    assert len(g.vertices) == 180 and len(g.edges) == 179 + 6
+    assert velocity_polytope(g) == convex_hull(p.vertices) == convex_hull(corners)
     assert roundtrip_check(p)
 
 
