@@ -50,7 +50,6 @@ from .geometry import (
     polytope_from_dict,
     polytope_from_json,
     polytope_to_dict,
-    polytope_to_json,
     satisfies_facets,
 )
 from .graph import (
@@ -137,7 +136,6 @@ __all__ = [
     "polytope_from_json",
     "polytope_svg",
     "polytope_to_dict",
-    "polytope_to_json",
     "realize",
     "roundtrip_check",
     "satisfies_facets",

@@ -185,16 +185,14 @@ def cmd_cycles(args: argparse.Namespace, budgets: Budgets) -> int:
     analysis = _analyze(args.graph, budgets)
     g, cycles = analysis.graph, analysis.cycles  # all of them, or the budget error
     if args.json:
-        payload = {"count": len(cycles), "cycles": cycles}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        # Routes are streamed rather than joined for _emit: on sq_4x4's 29,440
-        # cycles the text is megabytes, and one string of it would raise peak RSS.
-        names = g.vertices
-        steps = [f" -e{eid}-> {names[e.target]}" for eid, e in enumerate(g.edges)]
-        sys.stdout.writelines(names[g.edges[c[0]].source] + "".join(map(steps.__getitem__, c))
-                              + "\n" for c in cycles)
-        print(f"cycles {len(cycles)}")
+        return _emit(args, {"count": len(cycles), "cycles": cycles}, [])
+    # Routes are streamed rather than joined for _emit: on sq_4x4's 29,440
+    # cycles the text is megabytes, and one string of it would raise peak RSS.
+    names = g.vertices
+    steps = [f" -e{eid}-> {names[e.target]}" for eid, e in enumerate(g.edges)]
+    sys.stdout.writelines(names[g.edges[c[0]].source] + "".join(map(steps.__getitem__, c))
+                          + "\n" for c in cycles)
+    print(f"cycles {len(cycles)}")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetError
 from .graph import Contraction, DisplacementGraph, IntVec
@@ -43,11 +43,6 @@ def path_displacement(g: DisplacementGraph, path: Sequence[int]) -> IntVec:
 def _displacement_sum(disps: Sequence[IntVec], path: Sequence[int]) -> IntVec:
     """Sum of ``disps[eid]`` over a path already known to compose (one edge at least)."""
     return tuple(map(sum, zip(*[disps[eid] for eid in path])))
-
-
-def _velocities(pairs: Iterable[tuple[IntVec, int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Distinct displacement-per-step vectors of (displacement, length) pairs, sorted."""
-    return tuple(sorted({tuple(Fraction(d, n) for d in disp) for disp, n in pairs}))
 
 
 def canonical_rotation(edges: Sequence[int]) -> Path:
@@ -200,11 +195,11 @@ def enumerate_cycles(
 def basic_velocities(
     g: DisplacementGraph, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Deduplicated displacement-per-step vectors of all simple cycles, sorted."""
-    disps = [e.displacement for e in g.edges]
-    return _velocities(
-        {(_displacement_sum(disps, c.edges), c.length) for c in enumerate_cycles(g, max_cycles)}
-    )
+    """Deduplicated displacement-per-step vectors of all simple cycles, sorted:
+    ``GraphAnalysis.velocities``, the routine ``velo report`` prints."""
+    from .invariants import GraphAnalysis  # velo.invariants imports this module
+
+    return GraphAnalysis(g, max_cycles=max_cycles).velocities
 
 
 def max_ratio_cycle(

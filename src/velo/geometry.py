@@ -568,9 +568,5 @@ def polytope_from_dict(data: dict) -> Polytope:
     return convex_hull(vertices, dim=dim)
 
 
-def polytope_to_json(p: Polytope) -> str:
-    return json.dumps(polytope_to_dict(p), indent=2) + "\n"
-
-
 def polytope_from_json(text: str) -> Polytope:
     return polytope_from_dict(json.loads(text))

@@ -384,10 +384,10 @@ def unroll(
     """Window of the periodic graph holding all nodes within the given max-norm radius."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    size = len(g.vertices) * (2 * radius + 1) ** g.dim
-    if size > budget:
+    patch = UnrolledPatch(g, radius)
+    if (size := patch.vertex_count) > budget:
         raise BudgetError(f"patch would contain {size} nodes, exceeding the budget of {budget}")
-    return UnrolledPatch(g, radius)
+    return patch
 
 
 def bfs_distance(
@@ -403,13 +403,13 @@ def bfs_distance(
     The search runs from both ends (Pohl 1971), one whole level of the smaller
     frontier at a time, over one byte of seen flags per node in its own
     layout: vertex index fastest, then the coordinates, each axis padded on
-    both sides by the largest |displacement| on that axis.  Bit 1 marks nodes
-    reached from the source, bit 2 nodes reached backwards from the target,
-    and the padding starts out as 3, so a step either way that leaves the
-    window lands on a seen byte and every edge is a fixed id offset with no
-    bounds test.  An edge with some |displacement| > 2 * radius can never
-    stay inside the window and is dropped, which keeps the padding at most
-    2 * radius per side.
+    both sides by the largest |displacement| on that axis, and built axis by
+    axis, already in its final state.  Bit 1 marks nodes reached from the
+    source, bit 2 nodes reached backwards from the target, and the padding
+    starts out as 3, so a step either way that leaves the window lands on a
+    seen byte and every edge is a fixed id offset with no bounds test.  An
+    edge with some |displacement| > 2 * radius can never stay inside the
+    window and is dropped, which keeps the padding at most 2 * radius per side.
 
     The first node one side reaches that the other has seen gives the
     distance, the sum of both depths: before that level no node within
@@ -422,10 +422,14 @@ def bfs_distance(
     g, r, width = patch.graph, patch.radius, patch.window
     edges = [e for e in g.edges if inf_norm(e.displacement) <= 2 * r]
     pads = [max((abs(e.displacement[j]) for e in edges), default=0) for j in range(g.dim)]
-    strides = [len(g.vertices)]  # then one per axis, the last being the array size
+    nv = len(g.vertices)
+    # unseen nodes; each axis repeats the block so far width times between two
+    # runs of padding seen by both sides, in one join that holds one window, not two
+    seen, strides = bytearray(nv), []
     for pad in pads:
-        strides.append(strides[-1] * (width + 2 * pad))
-    nv, size = strides[0], strides.pop()
+        strides.append(len(seen))
+        side = b"\x03" * (len(seen) * pad)
+        seen = bytearray().join([side, *[seen] * width, side])
 
     def node(v: int, coords: Sequence[int]) -> int:
         return v + sum(s * (c + r + p) for s, c, p in zip(strides, coords, pads))
@@ -433,14 +437,6 @@ def bfs_distance(
     src, dst = node(*source), node(*target)
     if src == dst:
         return 0
-    # seen by both sides but the window itself, cleared in runs of nv * width bytes
-    seen = bytearray(b"\x03") * size
-    starts = [node(0, [-r] * g.dim)]
-    for stride in strides[1:]:
-        starts = [a + stride * i for a in starts for i in range(width)]
-    clear = bytes(nv * width)
-    for a in starts:
-        seen[a:a + len(clear)] = clear
     # side 0 searches from the source and marks 1, side 1 from the target and marks 2;
     # the id offsets of the distinct moves out of (side 0) and into (side 1) each vertex
     moves: list[list[set[int]]] = [[set() for _ in range(nv)] for _ in range(2)]
@@ -481,17 +477,17 @@ def gamma_norm_oracle(
     g: DisplacementGraph,
     x: Sequence[int],
     n: int,
-    radius: int | None = None,
     *,
     patch_budget: int = DEFAULT_PATCH_BUDGET,
 ) -> Fraction:
     """Finite-n growth-norm sample d(v, v + n*x)/n measured by BFS on a window.
 
-    The base is vertex 0 at the origin.  The default radius n*(|x| + C + 1),
-    with C the largest edge-displacement norm, is a generous window chosen so
-    that some shortest path stays inside on well-connected graphs.  As n grows
-    this quotient converges to the graph's growth norm of x; finite-n values
-    depend on the base vertex, so callers should only rely on limits/bounds.
+    The base is vertex 0 at the origin.  The window's radius is fixed, not a
+    parameter: n*(|x| + C + 1), with C the largest edge-displacement norm,
+    always holds the goal n*x and is generous, so that some shortest path
+    stays inside on well-connected graphs.  As n grows this quotient
+    converges to the graph's growth norm of x; finite-n values depend on the
+    base vertex, so callers should only rely on limits/bounds.
     """
     x = tuple(int(c) for c in x)
     if len(x) != g.dim:
@@ -500,15 +496,9 @@ def gamma_norm_oracle(
         raise ValueError("n must be >= 1")
     if len(strongly_connected_components(g)) != 1:
         raise NotStronglyConnectedError("growth-norm oracle requires a strongly connected quotient")
-    if radius is None:
-        radius = max(1, n * (inf_norm(x) + g.max_displacement_norm + 1))
-    patch = unroll(g, radius, budget=patch_budget)
+    patch = unroll(g, n * (inf_norm(x) + g.max_displacement_norm + 1), budget=patch_budget)
     origin = (0, (0,) * g.dim)
     goal = (0, tuple(n * c for c in x))
-    if not patch.contains(goal):
-        raise UnreachableError(
-            f"target {goal!r} lies outside the window of radius {radius}; increase the radius"
-        )
     dist = bfs_distance(patch, origin, goal)
     if dist is None:
         raise UnreachableError(

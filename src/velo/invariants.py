@@ -13,7 +13,6 @@ from .cycles import (
     Cycle,
     Path,
     _displacement_sum,
-    _velocities,
     core_cycles,
     max_ratio_cycle,
     unfolded_cycles,
@@ -158,7 +157,7 @@ class GraphAnalysis:
     @cached_property
     def velocities(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basic velocities: distinct displacement per step of the simple cycles, sorted."""
-        return _velocities(self.cycle_pairs)
+        return tuple(sorted({tuple(Fraction(d, n) for d in disp) for disp, n in self.cycle_pairs}))
 
     @cached_property
     def _pieces(self) -> tuple[tuple[int, tuple[int, ...], list[int]], ...]:

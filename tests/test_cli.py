@@ -16,6 +16,7 @@ from velo import (
     enumerate_cycles,
     parse_dgf,
     path_displacement,
+    polytope_svg,
     polytope_to_dict,
     realize,
     serialize_dgf,
@@ -466,6 +467,16 @@ def test_svg_output(fixture_files, tmp_path, capsys):
     assert "<polygon" in first
     assert first.count("<text") == 6
     assert "(1/2, 1/2)" in first
+
+
+def test_svg_of_the_empty_and_the_one_point_polytope():
+    with pytest.raises(ValueError, match="cannot render the empty polytope"):
+        polytope_svg(convex_hull([], dim=2))
+    # {0} has extent 0, drawn at the unit scale: its one vertex sits at the centre
+    svg = polytope_svg(convex_hull([(F(0), F(0))]))
+    assert '<circle cx="240.00" cy="240.00" r="3" fill="#000"/>' in svg
+    assert "(0, 0)" in svg
+    assert "<polygon" not in svg
 
 
 def test_svg_rejects_non_2d(fixture_files, tmp_path, capsys):

@@ -61,6 +61,16 @@ def test_non_composing_path_rejected(honeycomb):
 # canonical rotation
 
 
+@pytest.mark.parametrize("edges, closed", [
+    ((), False),        # empty
+    ((0, 0), False),    # A->B cannot follow A->B
+    ((0,), False),      # A->B does not close
+    ((0, 3), True),     # A->B->A
+])
+def test_is_cycle(honeycomb, edges, closed):
+    assert is_cycle(honeycomb, edges) is closed
+
+
 def test_least_rotation_matches_naive():
     rng = random.Random(11)
     for _ in range(300):

@@ -70,6 +70,11 @@ def test_empirical_velocity_empty_prefix(honeycomb):
 # plans
 
 
+def test_plan_rejects_a_non_cycle(honeycomb):
+    with pytest.raises(ValueError, match="is not a cycle of the graph"):
+        build_plan(honeycomb, [(Cycle((0,)), F(1))])  # A->B does not close
+
+
 def test_plan_single_cycle_empty_connector(honeycomb):
     c = enumerate_cycles(honeycomb)[0]
     plan = build_plan(honeycomb, [(c, F(1))])

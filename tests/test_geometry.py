@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -25,7 +26,7 @@ from velo import (
     origin_in_hull_interior,
     polytope_distance_inf,
     polytope_from_json,
-    polytope_to_json,
+    polytope_to_dict,
     satisfies_facets,
 )
 from velo.linprog import solve_standard_lp
@@ -76,6 +77,8 @@ def test_hull_empty_needs_dim():
         convex_hull([])
     p = convex_hull([], dim=2)
     assert p.is_empty and p.dim == 2
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        convex_hull([], dim=0)
 
 
 def test_hull_mixed_dimensions_rejected():
@@ -152,6 +155,12 @@ def test_hull_ring_2d(hexagon):
     for i in range(len(ring)):
         o, a, b = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
         assert (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0
+
+
+def test_hull_ring_2d_rejects_3d():
+    cube = convex_hull([tuple(F(c) for c in v) for v in product((0, 1), repeat=3)])
+    with pytest.raises(ValueError, match="only defined for 2-d"):
+        hull_ring_2d(cube)
 
 
 def _ccw(ring):
@@ -258,6 +267,14 @@ def test_contains_point_empty_rejected():
 
 def test_gauge_zero(hexagon):
     assert gauge_norm(hexagon, (F(0), F(0))) == 0
+
+
+def test_gauge_and_distance_of_the_empty_polytope():
+    empty = convex_hull([], dim=2)
+    with pytest.raises(ValueError, match="gauge of the empty polytope"):
+        gauge_norm(empty, (F(1), F(0)))
+    with pytest.raises(ValueError, match="distance to the empty polytope"):
+        polytope_distance_inf(empty, (F(1), F(0)))
 
 
 def test_gauge_hexagon_values(hexagon):
@@ -476,10 +493,10 @@ def test_anisotropy_errors(hexagon):
 
 
 def test_json_roundtrip(hexagon):
-    text = polytope_to_json(hexagon)
+    text = json.dumps(polytope_to_dict(hexagon), indent=2)
     back = polytope_from_json(text)
     assert back == hexagon
-    assert polytope_to_json(back) == text
+    assert json.dumps(polytope_to_dict(back), indent=2) == text
 
 
 def test_json_redundant_vertices_rehulled():

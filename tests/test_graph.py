@@ -65,6 +65,8 @@ def test_parse_undeclared_vertex_reports_line():
         "dim 1\nfrobnicate A\n",          # unknown directive
         "dim 1\n",                        # no vertices
         "",                               # no dim
+        "edge A A 0\n",                   # edge before dim
+        "dim 1\nvertex A B\n",            # two names after 'vertex'
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -184,6 +186,10 @@ def test_graph_validation():
         DisplacementGraph(1, ("A",), (Edge(0, 1, (0,)),))
     with pytest.raises(ValueError):
         DisplacementGraph(2, ("A",), (Edge(0, 0, (0,)),))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        DisplacementGraph(0, ("A",), ())
+    with pytest.raises(ValueError, match="vertex names must be unique"):
+        DisplacementGraph(1, ("A", "A"), ())
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -308,6 +314,11 @@ def test_unroll_budget():
     assert "10" in str(exc.value)
 
 
+def test_unroll_rejects_radius_zero(square):
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        unroll(square, 0)
+
+
 def test_bfs_same_node(honeycomb):
     patch = unroll(honeycomb, 2)
     assert bfs_distance(patch, (0, (0, 0)), (0, (0, 0))) == 0
@@ -325,8 +336,12 @@ def test_bfs_honeycomb_direct_edge(honeycomb):
 
 def test_bfs_endpoint_outside(honeycomb):
     patch = unroll(honeycomb, 1)
-    with pytest.raises(ValueError):
-        bfs_distance(patch, (0, (0, 0)), (0, (5, 0)))
+    origin = (0, (0, 0))
+    # past the radius, a vertex out of range, too few or too many coordinates
+    for outside in ((0, (5, 0)), (2, (0, 0)), (-1, (0, 0)), (0, (0,)), (0, (0, 0, 0))):
+        for source, target in ((origin, outside), (outside, origin)):
+            with pytest.raises(ValueError, match="outside the patch"):
+                bfs_distance(patch, source, target)
 
 
 def test_bfs_unreachable_in_window():
@@ -436,6 +451,13 @@ def test_oracle_honeycomb_unit(honeycomb):
     assert gamma_norm_oracle(honeycomb, (1, 0), 4) == 2
 
 
+def test_oracle_rejects_bad_direction_or_n(square):
+    with pytest.raises(ValueError, match="direction has 3 entries, expected 2"):
+        gamma_norm_oracle(square, (1, 0, 0), 4)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gamma_norm_oracle(square, (1, 0), 0)
+
+
 def test_oracle_requires_strong_connectivity():
     g = parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 0")
     with pytest.raises(NotStronglyConnectedError):
@@ -448,9 +470,31 @@ def test_oracle_unreachable_direction():
         gamma_norm_oracle(g, (-1,), 2)
 
 
-def test_oracle_radius_too_small(square):
-    with pytest.raises(UnreachableError):
-        gamma_norm_oracle(square, (3, 0), 4, radius=2)
+def test_oracle_window_holds_the_goal(square):
+    # the fixed radius 4 * (3 + 1 + 1) holds the goal (12, 0): no radius to get wrong
+    assert gamma_norm_oracle(square, (3, 0), 4) == 3
+
+
+DIAMOND_DGF = (
+    "dim 3\nvertex A\nvertex B\n"
+    "edge A B 0 0 0\nedge A B 1 0 0\nedge A B 0 1 0\nedge A B 0 0 1\n"
+    "edge B A 0 0 0\nedge B A -1 0 0\nedge B A 0 -1 0\nedge B A 0 0 -1\n"
+)
+
+
+def test_oracle_holds_one_window_at_a_time():
+    # radius 12 * (1 + 1 + 1) = 36, each axis padded by 1: 2 * 75**3 seen bytes;
+    # a build that copies the window while it grows would peak near twice that
+    g = parse_dgf(DIAMOND_DGF)
+    window = 2 * 75**3
+    tracemalloc.start()
+    try:
+        value = gamma_norm_oracle(g, (1, 1, 0), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 4
+    assert peak < 1.3 * window
 
 
 def test_oracle_subadditive_across_n(square, honeycomb):
