@@ -20,7 +20,7 @@ from itertools import islice
 
 from .cycles import DEFAULT_MAX_CYCLES, path_displacement
 from .dynamics import DEFAULT_PREFIX_BUDGET, build_plan, schedule_totals
-from .errors import BudgetError, DgfError, NotStronglyConnectedError, VeloError
+from .errors import BudgetError, NotStronglyConnectedError, VeloError
 from .geometry import (
     Anisotropy,
     anisotropy,
@@ -34,7 +34,6 @@ from .geometry import (
 )
 from .graph import (
     DEFAULT_PATCH_BUDGET,
-    DisplacementGraph,
     gamma_norm_oracle,
     parse_dgf,
     serialize_dgf,
@@ -53,27 +52,16 @@ class Budgets:
     oracle: int = DEFAULT_ORACLE_BUDGET
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 on usage errors, not argparse's 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 1) -> int:
+    """The one error path: an ``error:`` line on stderr, and the exit code."""
     print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
-def _load_graph(path: str) -> DisplacementGraph:
-    with open(path, "rb") as fh:
-        return parse_dgf(fh.read())
+    return code
 
 
 def _analyze(path: str, budgets: Budgets) -> GraphAnalysis:
-    return GraphAnalysis(
-        _load_graph(path), max_cycles=budgets.max_cycles, oracle_budget=budgets.oracle
-    )
+    with open(path, "rb") as fh:
+        graph = parse_dgf(fh.read())
+    return GraphAnalysis(graph, max_cycles=budgets.max_cycles, oracle_budget=budgets.oracle)
 
 
 def _word(value) -> str:
@@ -127,10 +115,6 @@ def _parse_rationals(text: str) -> list[Fraction]:
     return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_metric(text: str) -> list[list[Fraction]]:
-    return [_parse_rationals(row) for row in text.split(";") if row.strip()]
-
-
 def cmd_polytope(args: argparse.Namespace, budgets: Budgets) -> int:
     analysis = _analyze(args.graph, budgets)
     if len(analysis.sccs) == 1:
@@ -167,8 +151,7 @@ def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
     rep = analysis.report
     if rep.verdict != VERDICT_STRONG:
         sys.stderr.write("\n".join(_lines(_verdict(rep))) + "\n")
-        print(f"error: graph is {rep.verdict}, not {VERDICT_STRONG}", file=sys.stderr)
-        return 3
+        return _fail(f"graph is {rep.verdict}, not {VERDICT_STRONG}", 3)
     x = tuple(args.x)
     value = gauge_norm(analysis.polytope, [Fraction(c) for c in x])
     payload: dict = {"norm": "inf" if value is None else format_rational(value)}
@@ -258,7 +241,9 @@ def cmd_check_morphism(args: argparse.Namespace, budgets: Budgets) -> int:
 
 def cmd_anisotropy(args: argparse.Namespace, budgets: Budgets) -> int:
     poly = _analyze(args.graph, budgets).polytope
-    metric = _parse_metric(args.metric) if args.metric else None
+    metric = None
+    if args.metric:
+        metric = [_parse_rationals(row) for row in args.metric.split(";") if row.strip()]
     payload = _anisotropy_dict(anisotropy(poly, metric))
     return _emit(args, payload, _lines(payload))
 
@@ -295,7 +280,7 @@ def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="velo", description=__doc__)
+    parser = argparse.ArgumentParser(prog="velo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polytope", help="velocity polytope of a graph (per SCC if disconnected)")
@@ -361,22 +346,17 @@ def main(argv: list[str] | None = None) -> int:
         _parser = _build_parser()
     try:
         args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # a usage error is an input error: 1, not argparse's 2
+        return 1 if exc.code else 0
     try:
         # looked up on each call, so that a rebound cmd_* function (a tracer,
         # a test) runs although the parser is built once
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(args, budgets)
-    except DgfError as exc:
-        return _fail(str(exc))
     except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
     except NotStronglyConnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(str(exc), 3)
     except (VeloError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -960,10 +961,30 @@ def test_one_fold_per_chained_graph(chain_files, realized_ring, command, capsys,
         assert (run_cli([command, path], capsys)[0], len(calls)) == (0, 1), path
 
 
-def test_usage_error_exit_code(capsys):
-    code, _, err = run_cli(["polytope"], capsys)  # missing file argument
-    assert code == 1
-    assert "error" in err
+GRAPH = object()  # stands for the honeycomb fixture's path
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param([], 1, id="no-command"),
+    pytest.param(["polytope"], 1, id="polytope"),  # missing file argument
+    pytest.param(["bogus"], 1, id="bogus"),
+    pytest.param(["norm", GRAPH, "a"], 1, id="norm-non-integer"),
+    pytest.param(["simulate", GRAPH], 1, id="simulate-no-weights"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["report", "--help"], 0, id="report-help"),
+])
+def test_usage_error_exit_code(fixture_files, argv, code, capsys):
+    # a usage error is an input error; the structure is checked, not argparse's
+    # wording, which differs between Python versions
+    argv = [fixture_files["honeycomb"] if a is GRAPH else a for a in argv]
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    if code:
+        lines = err.splitlines()
+        assert out == "" and lines[0].startswith("usage: velo")
+        assert re.match(r"^velo( [a-z-]+)?: error: ", lines[-1]), lines[-1]
+    else:
+        assert err == "" and out.startswith("usage: velo")
 
 
 def test_outputs_stable_across_runs(fixture_files, capsys):
