@@ -8,7 +8,6 @@ unit ball it is, and a realizing graph for any rational polytope - all in
 exact rational arithmetic, cross-checked against brute-force oracles.
 """
 from .cycles import (
-    Cycle,
     CycleDecomposition,
     basic_velocities,
     canonical_rotation,
@@ -73,7 +72,6 @@ from .invariants import (
     VERDICT_STRONG,
     ConnectivityReport,
     GraphAnalysis,
-    VelocitySet,
     connectivity_report,
     velocity_polytope,
     velocity_set,
@@ -87,7 +85,6 @@ __all__ = [
     "Anisotropy",
     "BudgetError",
     "ConnectivityReport",
-    "Cycle",
     "CycleDecomposition",
     "DgfError",
     "DisplacementGraph",
@@ -100,7 +97,6 @@ __all__ = [
     "UnreachableError",
     "UnrolledPatch",
     "VeloError",
-    "VelocitySet",
     "VERDICT_DISCONNECTED",
     "VERDICT_QUOTIENT",
     "VERDICT_STRONG",

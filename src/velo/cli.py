@@ -154,13 +154,12 @@ def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
         return _fail(f"graph is {rep.verdict}, not {VERDICT_STRONG}", 3)
     x = tuple(args.x)
     value = gauge_norm(analysis.polytope, [Fraction(c) for c in x])
-    payload: dict = {"norm": "inf" if value is None else format_rational(value)}
+    payload: dict = {"norm": format_rational(value)}
     if args.oracle:
         oracle = gamma_norm_oracle(analysis.graph, x, args.n, patch_budget=budgets.patch)
         payload["n"] = args.n
         payload["oracle"] = format_rational(oracle)
-        if value is not None:
-            payload["gap"] = format_rational(abs(oracle - value))
+        payload["gap"] = format_rational(abs(oracle - value))
     return _emit(args, payload, [payload["norm"], *_lines(payload, "norm", "n")])
 
 
@@ -205,9 +204,9 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
         return _fail("scheduled prefix is empty; increase --kmax")
     target = [Fraction(0)] * g.dim
     for cycle, weight in plan.cycles:
-        disp = path_displacement(g, cycle.edges)
+        disp = path_displacement(g, cycle)
         for j in range(g.dim):
-            target[j] += weight * Fraction(disp[j], cycle.length)
+            target[j] += weight * Fraction(disp[j], len(cycle))
     vel = tuple(Fraction(c, steps) for c in displacement)
     gap = max(abs(a - b) for a, b in zip(vel, target))
     dist = polytope_distance_inf(analysis.polytope, vel)

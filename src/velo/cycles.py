@@ -1,7 +1,7 @@
 """Simple cycles of the quotient multigraph and exact path/cycle arithmetic.
 
-Cycles are sequences of edge ids that compose, close, and repeat no vertex,
-so their length never exceeds the vertex count.  Two rotations of the same
+A simple cycle is a ``Path``, the tuple of its edge ids, that composes,
+closes, and repeats no vertex, so its length never exceeds the vertex count.  Two rotations of the same
 edge sequence are the same cycle; the canonical representative is the
 lexicographically smallest rotation.  A simple cycle repeats no edge, so that
 rotation is the one starting at the cycle's least edge id.
@@ -54,25 +54,6 @@ def canonical_rotation(edges: Sequence[int]) -> Path:
     edges = tuple(edges)
     least = min(edges, default=0)
     return min((edges[k:] + edges[:k] for k, e in enumerate(edges) if e == least), default=())
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """Closed simple cycle, stored as an edge-id sequence."""
-
-    edges: Path
-
-    def __post_init__(self) -> None:
-        if not self.edges:
-            raise ValueError("a cycle must contain at least one edge")
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.edges == canonical_rotation(self.edges)
 
 
 def is_cycle(g: DisplacementGraph, edges: Sequence[int]) -> bool:
@@ -182,14 +163,14 @@ def unfolded_cycles(
 
 def enumerate_cycles(
     g: DisplacementGraph, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> tuple[Cycle, ...]:
+) -> tuple[Path, ...]:
     """All simple cycles, one canonical rotation each, sorted lexicographically.
 
     Self-loops are length-1 cycles and parallel edges yield distinct cycles.
     They stream from the graph's chain fold against ``max_cycles``; exceeding
     it raises BudgetError and no partial result is returned.
     """
-    return tuple(Cycle(p) for p in unfolded_cycles(g, g._contraction, max_cycles))
+    return tuple(unfolded_cycles(g, g._contraction, max_cycles))
 
 
 def basic_velocities(
@@ -282,12 +263,12 @@ def _functional_cycles(choice: Sequence[int], ends: Sequence[int]):
 class CycleDecomposition:
     """Cycles excised from a path plus the short remaining path."""
 
-    cycles: tuple[Cycle, ...]
+    cycles: tuple[Path, ...]
     remainder: Path
 
     @property
     def total_cycle_length(self) -> int:
-        return sum(c.length for c in self.cycles)
+        return sum(map(len, self.cycles))
 
 
 def decompose_path(g: DisplacementGraph, path: Sequence[int]) -> CycleDecomposition:
@@ -301,7 +282,7 @@ def decompose_path(g: DisplacementGraph, path: Sequence[int]) -> CycleDecomposit
     _check_path(g, path)
     n_vertices = len(g.vertices)
     remaining = list(path)
-    cycles: list[Cycle] = []
+    cycles: list[Path] = []
     while len(remaining) >= n_vertices:
         first_source: dict[int, int] = {}
         cut: tuple[int, int] | None = None
@@ -316,6 +297,6 @@ def decompose_path(g: DisplacementGraph, path: Sequence[int]) -> CycleDecomposit
         if cut is None:  # impossible by pigeonhole once len(remaining) >= |V|
             raise AssertionError("no cycle found in a path of length >= |V|")
         k, l = cut
-        cycles.append(Cycle(canonical_rotation(remaining[k : l + 1])))
+        cycles.append(canonical_rotation(remaining[k : l + 1]))
         del remaining[k : l + 1]
     return CycleDecomposition(tuple(cycles), tuple(remaining))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .cycles import Cycle, Path, is_cycle, path_displacement
+from .cycles import Path, is_cycle, path_displacement
 from .errors import BudgetError, NotStronglyConnectedError
 from .geometry import Polytope, QVec, polytope_distance_inf
 from .graph import DisplacementGraph, IntVec, strongly_connected_components
@@ -26,7 +26,7 @@ DEFAULT_PREFIX_BUDGET = 10_000_000
 class TrajectoryPlan:
     """Weighted cycles plus connector paths from each cycle's base to the next's."""
 
-    cycles: tuple[tuple[Cycle, Fraction], ...]
+    cycles: tuple[tuple[Path, Fraction], ...]
     connectors: tuple[Path, ...]
 
 
@@ -65,7 +65,7 @@ def _shortest_quotient_path(g: DisplacementGraph, start: int, goal: int) -> Path
 
 
 def build_plan(
-    g: DisplacementGraph, weighted_cycles: Sequence[tuple[Cycle, Fraction]]
+    g: DisplacementGraph, weighted_cycles: Sequence[tuple[Sequence[int], Fraction]]
 ) -> TrajectoryPlan:
     """Attach shortest connectors between consecutive cycles of a weighted list.
 
@@ -76,13 +76,13 @@ def build_plan(
         raise ValueError("a plan needs at least one cycle")
     if len(strongly_connected_components(g)) != 1:
         raise NotStronglyConnectedError("trajectory plans require a strongly connected quotient")
-    entries: list[tuple[Cycle, Fraction]] = []
+    entries: list[tuple[Path, Fraction]] = []
     for cycle, weight in weighted_cycles:
-        weight = Fraction(weight)
+        cycle, weight = tuple(cycle), Fraction(weight)
         if weight <= 0:
             raise ValueError("cycle weights must be positive")
-        if not is_cycle(g, cycle.edges):
-            raise ValueError(f"edge sequence {cycle.edges!r} is not a cycle of the graph")
+        if not is_cycle(g, cycle):
+            raise ValueError(f"edge sequence {cycle!r} is not a cycle of the graph")
         entries.append((cycle, weight))
     total = sum(w for _, w in entries)
     if total != 1:
@@ -92,8 +92,8 @@ def build_plan(
     for i in range(r):
         here = entries[i][0]
         nxt = entries[(i + 1) % r][0]
-        end = g.edges[here.edges[-1]].target
-        start = g.edges[nxt.edges[0]].source
+        end = g.edges[here[-1]].target
+        start = g.edges[nxt[0]].source
         connectors.append(_shortest_quotient_path(g, end, start))
     return TrajectoryPlan(tuple(entries), tuple(connectors))
 
@@ -112,8 +112,8 @@ def _stage_repeats(
     stage_repeats: list[list[int]] = []
     for k in range(1, k_max + 1):
         # floor(k * weight / length)
-        repeats = [k * w.numerator // (w.denominator * c.length) for c, w in plan.cycles]
-        length = sum(a * c.length for a, (c, _) in zip(repeats, plan.cycles))
+        repeats = [k * w.numerator // (w.denominator * len(c)) for c, w in plan.cycles]
+        length = sum(a * len(c) for a, (c, _) in zip(repeats, plan.cycles))
         total += k * (length + connector_length)
         if total > budget:
             raise BudgetError(
@@ -132,18 +132,17 @@ def schedule(
     floor(k * weight_i / length_i) times followed by connector i.  The result
     composes in the quotient graph because every cycle is closed.
     """
-    stage_repeats, total = _stage_repeats(plan, k_max, budget)
+    stage_repeats, _ = _stage_repeats(plan, k_max, budget)
     blocks: list[list[int]] = []
     for repeats in stage_repeats:
         block: list[int] = []
         for i, ((cycle, _), count) in enumerate(zip(plan.cycles, repeats)):
-            block.extend(cycle.edges * count)
+            block.extend(cycle * count)
             block.extend(plan.connectors[i])
         blocks.append(block)
-    # one tuple of exactly `total` slots, filled straight from the stage blocks
-    return tuple(_Sized(total, chain.from_iterable(
+    return tuple(chain.from_iterable(
         block for k, block in enumerate(blocks, start=1) for _ in range(k)
-    )))
+    ))
 
 
 def schedule_totals(
@@ -158,7 +157,7 @@ def schedule_totals(
     run from the base of cycle i to the base of the next (ValueError otherwise).
     """
     stage_repeats, total = _stage_repeats(plan, k_max, budget)
-    cycles = [c.edges for c, _ in plan.cycles]
+    cycles = [c for c, _ in plan.cycles]
     # each cycle twice, so that it closes, then its connector into the next one
     ring = [(*c, *c, *p) for c, p in zip(cycles, plan.connectors, strict=True)]
     path_displacement(g, tuple(chain(*ring, *cycles[:1])))
@@ -167,21 +166,6 @@ def schedule_totals(
     parts = [(n, path_displacement(g, path)) for n, path in
              [*zip(counts, cycles), *((stages, p) for p in plan.connectors)]]
     return total, tuple(sum(n * vec[j] for n, vec in parts) for j in range(g.dim))
-
-
-class _Sized:
-    """An iterator with a known length, so that tuple() allocates its result
-    once; from a bare iterator it grows the result by repeated realloc, whose
-    peak memory depends on what the allocator did before."""
-
-    def __init__(self, length: int, items):
-        self._length, self._items = length, items
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        return self._items
 
 
 def convergence_check(g: DisplacementGraph, prefix: Sequence[int], p: Polytope) -> Fraction:

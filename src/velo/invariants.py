@@ -10,7 +10,6 @@ from typing import Iterator
 
 from .cycles import (
     DEFAULT_MAX_CYCLES,
-    Cycle,
     Path,
     _displacement_sum,
     core_cycles,
@@ -47,14 +46,6 @@ class ConnectivityReport:
     lattice_index: int | None
     cone_full: bool
     verdict: str
-
-
-@dataclass(frozen=True)
-class VelocitySet:
-    """Velocity polytopes per strongly connected component; their union is the full set."""
-
-    dim: int
-    components: tuple[tuple[int, Polytope], ...]
 
 
 class GraphAnalysis:
@@ -117,14 +108,14 @@ class GraphAnalysis:
     def cycle_count(self) -> int:
         return self.cycle_pairs.total()
 
-    def cycle_stream(self) -> Iterator[Cycle]:
+    def cycle_stream(self) -> Iterator[Path]:
         """The graph's simple cycles in its own edge ids, as ``enumerate_cycles`` lists them."""
-        return map(Cycle, unfolded_cycles(self.graph, self._contraction, self.max_cycles))
+        return unfolded_cycles(self.graph, self._contraction, self.max_cycles)
 
     @cached_property
     def cycles(self) -> tuple[Path, ...]:
         """The graph's simple cycles as edge-id tuples, in ``cycle_stream`` order."""
-        return tuple(unfolded_cycles(self.graph, self._contraction, self.max_cycles))
+        return tuple(self.cycle_stream())
 
     @cached_property
     def cycle_pairs(self) -> Counter[tuple[IntVec, int]]:
@@ -278,6 +269,9 @@ def velocity_polytope(g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDG
     return GraphAnalysis(g, oracle_budget=budget).polytope
 
 
-def velocity_set(g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET) -> VelocitySet:
-    """Per-component velocity polytopes; components without cycles are omitted."""
-    return VelocitySet(g.dim, GraphAnalysis(g, oracle_budget=budget).components)
+def velocity_set(
+    g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET
+) -> tuple[tuple[int, Polytope], ...]:
+    """(component id, velocity polytope) per strongly connected component with a
+    cycle, as ``GraphAnalysis.components``; their union is the full velocity set."""
+    return GraphAnalysis(g, oracle_budget=budget).components

@@ -128,7 +128,7 @@ def test_criterion_06_decomposition_bounds():
         assert 0 <= slack <= n_vertices
         cycle_sum = [0] * g.dim
         for c in dec.cycles:
-            for i, v in enumerate(path_displacement(g, c.edges)):
+            for i, v in enumerate(path_displacement(g, c)):
                 cycle_sum[i] += v
         gap = tuple(a - b for a, b in zip(path_displacement(g, walk), cycle_sum))
         assert inf_norm(gap) < big_c * n_vertices
@@ -154,7 +154,7 @@ def test_criterion_08_scheduled_convergence(honeycomb):
     rng = random.Random(2024)
     cycles = enumerate_cycles(honeycomb)
     velocities = {
-        c: tuple(F(x, c.length) for x in path_displacement(honeycomb, c.edges)) for c in cycles
+        c: tuple(F(x, len(c)) for x in path_displacement(honeycomb, c)) for c in cycles
     }
     for _ in range(20):
         count = rng.randint(2, 4)

@@ -11,7 +11,6 @@ import pytest
 
 from helpers import HONEYCOMB_DGF, random_graph, subdivide
 from velo import (
-    Cycle,
     DisplacementGraph,
     convex_hull,
     enumerate_cycles,
@@ -159,17 +158,17 @@ def test_cycles_json_is_the_indented_dump(fixture_files, chain_files, tmp_path, 
     acyclic = tmp_path / "acyclic.dgf"
     acyclic.write_text("dim 1\nvertex A\nvertex B\nedge A B 1\nedge A B -1\n")
     for path in (*fixture_files.values(), *chain_files.values(), str(acyclic)):
-        cycles = [c.edges for c in enumerate_cycles(parse_dgf(Path(path).read_text()))]
+        cycles = list(enumerate_cycles(parse_dgf(Path(path).read_text())))
         payload = {"count": len(cycles), "cycles": cycles}
         assert run_cli(["cycles", path, "--json"], capsys) == (
             0, json.dumps(payload, indent=2) + "\n", ""
         )
 
 
-def _cycle_route(g: DisplacementGraph, cycle: Cycle) -> str:
-    """One route, rendered part by part from a Cycle: the reference for `cycles`."""
-    parts = [g.vertices[g.edges[cycle.edges[0]].source]]
-    for eid in cycle.edges:
+def _cycle_route(g: DisplacementGraph, cycle: tuple[int, ...]) -> str:
+    """One route, rendered part by part from a cycle's edge ids: the reference for `cycles`."""
+    parts = [g.vertices[g.edges[cycle[0]].source]]
+    for eid in cycle:
         parts.append(f"-e{eid}->")
         parts.append(g.vertices[g.edges[eid].target])
     return " ".join(parts)

@@ -263,7 +263,7 @@ def test_gauge_covariance_closed_walks():
         gauge = random_gauge(g, rng)
         moved = gauge_transform(g, gauge)
         for c in enumerate_cycles(g):
-            assert path_displacement(moved, c.edges) == path_displacement(g, c.edges)
+            assert path_displacement(moved, c) == path_displacement(g, c)
 
 
 def test_gauge_open_path_shift_formula():

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import CROSS_VERTICES, HEX_VERTICES, random_strongly_connected_graph, subdivide
@@ -21,6 +21,7 @@ from velo import (
     bfs_distance,
     connectivity_report,
     convex_hull,
+    gauge_norm,
     lattice_rank_and_index,
     origin_in_hull_interior,
     parse_dgf,
@@ -73,9 +74,9 @@ def test_pm2_polytope(pm2):
 
 def test_velocity_set_single_component(honeycomb):
     vset = velocity_set(honeycomb)
-    assert len(vset.components) == 1
-    assert vset.components[0][0] == 0
-    assert vset.components[0][1] == velocity_polytope(honeycomb)
+    assert len(vset) == 1
+    assert vset[0][0] == 0
+    assert vset[0][1] == velocity_polytope(honeycomb)
 
 
 def test_velocity_set_disjoint_union():
@@ -97,14 +98,14 @@ edge B A 1 0
 """
     g = parse_dgf(text)
     vset = velocity_set(g)
-    assert [cid for cid, _ in vset.components] == [0, 1]
-    assert vset.components[0][1].vertices == CROSS_VERTICES
-    assert vset.components[1][1].vertices == HEX_VERTICES
+    assert [cid for cid, _ in vset] == [0, 1]
+    assert vset[0][1].vertices == CROSS_VERTICES
+    assert vset[1][1].vertices == HEX_VERTICES
 
 
 def test_velocity_set_no_cycles():
     g = parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 0")
-    assert velocity_set(g).components == ()
+    assert velocity_set(g) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,31 @@ def test_analysis_matches_brute_force_cycles(g):
         (comp_id, convex_hull(vels, dim=g.dim)) for comp_id, vels in sorted(per_scc.items())
     )
     assert an.components == expected
-    assert velocity_set(g).components == expected
+    assert velocity_set(g) == expected
     if len(sccs) == 1:
         assert velocity_polytope(g) == convex_hull([velocity(c) for c in cycles], dim=g.dim)
+
+
+@st.composite
+def rings(draw):
+    """A ring through up to 4 vertices plus up to 4 more edges in d = 1..3, so one
+    component; half the draws pair each edge with its reverse, which makes
+    the verdict strong more often."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    disp = st.tuples(*[st.integers(-2, 2)] * dim)
+    edges = [Edge(i, (i + 1) % n, draw(disp)) for i in range(n)]
+    edges += draw(st.lists(st.builds(Edge, vertex, vertex, disp), max_size=4))
+    if draw(st.booleans()):
+        edges += [Edge(e.target, e.source, tuple(-c for c in e.displacement)) for e in edges]
+    return DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+
+@given(rings(), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+def test_strong_verdict_makes_every_gauge_finite(g, x):
+    # the verdict asks for the origin inside the one component's P, so every
+    # facet offset is positive and `velo norm` never meets an infinite gauge
+    analysis = GraphAnalysis(g)
+    assume(analysis.report.verdict == VERDICT_STRONG)
+    assert isinstance(gauge_norm(analysis.polytope, x[: g.dim]), Fraction)

@@ -73,7 +73,7 @@ def test_realize_structure_random():
         assert strongly_connected_components(g) == (tuple(range(gamma)),)
         cycles = enumerate_cycles(g)
         assert len(cycles) == len(p.vertices)
-        assert all(c.length == gamma for c in cycles)
+        assert all(len(c) == gamma for c in cycles)
 
 
 def test_roundtrip_random():
