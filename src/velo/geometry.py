@@ -168,14 +168,11 @@ class _Hull:
         # Far points first: they tend to be extreme, and an interior point then
         # costs one scan of the boundary.
         order = sorted(range(n), key=lambda i: -spread(i))
-        simplex = [order[0]]
-        for i in order[1:]:
-            base = ys[simplex[0]]
-            rows = [[a - b for a, b in zip(ys[j], base)] for j in simplex[1:] + [i]]
-            if len(_reduce(rows)[1]) == len(simplex):
-                simplex.append(i)
-                if len(simplex) == r + 1:
-                    break
+        # The first simplex: the far point and each point whose difference from
+        # it is independent of those before it, the differences' pivot columns.
+        base = ys[order[0]]
+        diffs = [[a - b for a, b in zip(ys[i], base)] for i in order[1:]]
+        simplex = [order[0]] + [order[1 + j] for j in _reduce(list(zip(*diffs)))[1]]
         self.inner = [sum(col) for col in zip(*(ys[i] for i in simplex))]
         simplex.sort()
         self.boundary = {
@@ -403,7 +400,8 @@ def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
         facets, y = p.facets, q  # P holds the origin, so K = P
     else:
         points = sorted(set(p.vertices) | {(_ZERO,) * p.dim})
-        if affine_dimension(points + [q]) > affine_dimension(points):
+        # K holds 0, so its affine hull is the subspace these normals cut out
+        if any(sum(map(mul, n, q)) for n in _affine_normals(points)):
             return None
         hull = _Hull(points)
         facets = hull.facets()

@@ -131,8 +131,9 @@ def parse_dgf(text: str | bytes) -> DisplacementGraph:
         edge SRC DST x1 ... xD
 
     The ``dim`` line must come first; vertices must be declared before use.
-    Blank, whitespace-only and comment-only lines are skipped; lines end at
-    LF or CRLF.
+    Blank, whitespace-only and comment-only lines are skipped; lines end where
+    ``str.splitlines`` ends them: at LF, CRLF, CR, VT, FF, FS, GS, RS, NEL,
+    LS and PS.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")

@@ -19,33 +19,24 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         raise ValueError("generator rows must share one length")
     rank = 0
     for col in range(width):
-        pivot_found = False
-        while True:
-            nz = [i for i in range(rank, len(mat)) if mat[i][col] != 0]
-            if not nz:
-                break
-            pivot_found = True
-            i0 = min(nz, key=lambda i: (abs(mat[i][col]), i))
-            mat[rank], mat[i0] = mat[i0], mat[rank]
-            if mat[rank][col] < 0:
-                mat[rank] = [-v for v in mat[rank]]
-            piv = mat[rank][col]
-            clean = True
-            for i in range(rank + 1, len(mat)):
-                if mat[i][col] != 0:
-                    q = mat[i][col] // piv
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
-                    if mat[i][col] != 0:
-                        clean = False
-            if clean:
-                break
-        if pivot_found:
-            piv = mat[rank][col]
-            for i in range(rank):
-                q = mat[i][col] // piv
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
-            rank += 1
+        # Euclid: reduce by the smallest nonzero entry until only one is left
+        while len(nz := [i for i in range(rank, len(mat)) if mat[i][col]]) > 1:
+            p = min(nz, key=lambda i: abs(mat[i][col]))
+            for i in nz:
+                if i != p:
+                    q = mat[i][col] // mat[p][col]
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[p])]
+        if not nz:
+            continue
+        mat[rank], mat[nz[0]] = mat[nz[0]], mat[rank]
+        if mat[rank][col] < 0:
+            mat[rank] = [-v for v in mat[rank]]
+        piv = mat[rank][col]
+        for i in range(rank):
+            q = mat[i][col] // piv
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
     return mat[:rank]
 
 

@@ -17,7 +17,7 @@ from .cycles import (
     unfolded_cycles,
 )
 from .errors import NotStronglyConnectedError
-from .geometry import Polytope, _holds_origin_inside, convex_hull, polytope_from_support
+from .geometry import Polytope, _holds_origin_inside, origin_in_hull_interior, polytope_from_support
 from .graph import Contraction, DisplacementGraph, IntVec, strongly_connected_components
 from .intlattice import lattice_rank_and_index
 
@@ -233,10 +233,10 @@ class GraphAnalysis:
         g = self.graph
         rank, index = lattice_rank_and_index(self._cycle_generators, g.dim)
         if len(self.components) == 1:
-            hull = self.components[0][1]
+            cone_full = _holds_origin_inside(self.components[0][1])
         else:
-            hull = convex_hull([v for _, poly in self.components for v in poly.vertices], dim=g.dim)
-        cone_full = _holds_origin_inside(hull)
+            vertices = [v for _, poly in self.components for v in poly.vertices]
+            cone_full = origin_in_hull_interior(vertices, g.dim)
         if len(self.sccs) > 1:
             verdict = VERDICT_DISCONNECTED
         elif rank == g.dim and index == 1 and cone_full:

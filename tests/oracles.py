@@ -2,17 +2,18 @@
 
 Nothing here shares code paths with the library: cycles come from plain DFS,
 strongly connected components from mutual reachability, DGF text from a
-token-by-token reading of the grammar, window distances
-from a BFS over (vertex, coordinates) tuples, and membership,
-gauge values and facets come from enumerating small point subsets and solving
-exact linear systems, never from the simplex solver or the hull.
+token-by-token reading of the grammar, window distances from a BFS over
+(vertex, coordinates) tuples, lattice ranks and indices from minors, and
+membership, gauge values, max-norm distances and facets come from enumerating
+small point subsets and solving exact linear systems, never from the simplex
+solver or the hull.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from velo import DisplacementGraph
@@ -214,6 +215,66 @@ def gauge_caratheodory(
                 if best is None or value < best:
                     best = value
     return best
+
+
+def distance_inf_brute(
+    point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]
+) -> Fraction:
+    """Max-norm distance from the point to the hull of the vertices, by basic solutions.
+
+    It is 0 for a member.  Otherwise it is min t over lam >= 0, sum(lam) = 1
+    and |x - sum(lam_i v_i)|_inf <= t, where t > 0, so an optimal basic
+    solution has k <= d vertices and k coordinates j with
+    x_j - sum(lam_i v_ij) = sigma_j t, sigma_j = +-1: one square system per
+    choice of vertices, coordinates and signs.
+    """
+    d = len(point)
+    x = [Fraction(c) for c in point]
+    pts = [tuple(Fraction(c) for c in p) for p in vertices]
+    if member_caratheodory(x, pts):
+        return Fraction(0)
+    best: Fraction | None = None
+    for k in range(1, d + 1):
+        for subset in combinations(pts, k):
+            for coords in combinations(range(d), k):
+                for signs in product((1, -1), repeat=k):
+                    rows = [[p[j] for p in subset] + [Fraction(s)] for j, s in zip(coords, signs)]
+                    rows.append([Fraction(1)] * k + [Fraction(0)])
+                    sol = solve_exact(rows, [x[j] for j in coords] + [Fraction(1)])
+                    if not isinstance(sol, list) or any(lam < 0 for lam in sol[:k]):
+                        continue
+                    t = sol[k]
+                    if best is not None and t >= best:
+                        continue
+                    near = [sum(lam * p[j] for lam, p in zip(sol, subset)) for j in range(d)]
+                    if all(abs(a - b) <= t for a, b in zip(x, near)):
+                        best = t
+    assert best is not None, "a point outside the hull has a nearest point"
+    return best
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def lattice_rank_and_index_brute(
+    rows: Sequence[Sequence[int]], dim: int
+) -> tuple[int, int | None]:
+    """The rank of the integer rows, the order of their largest nonzero minor, and,
+    when that is ``dim``, the index of their lattice in Z^dim: the gcd of every
+    dim x dim minor."""
+    mat = [list(r) for r in rows]
+
+    def minors(k: int) -> list[int]:
+        return [_det([[r[c] for c in cols] for r in sub])
+                for sub in combinations(mat, k) for cols in combinations(range(dim), k)]
+
+    rank = max((k for k in range(1, min(len(mat), dim) + 1) if any(minors(k))), default=0)
+    return rank, (math.gcd(*minors(dim)) if rank == dim else None)
 
 
 def _coprime(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], int]:

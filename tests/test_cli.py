@@ -250,6 +250,15 @@ def test_zero_denominator_in_a_rational_is_an_error_line(fixture_files, command,
     assert run_cli(args, capsys) == (1, "", "error: zero denominator in '1/0'\n")
 
 
+@pytest.mark.parametrize("command, rest, message", [
+    ("norm", ["1", "2", "3"], "vector has 3 entries, expected 2"),
+    ("anisotropy", ["--metric", "1,0"], "metric must be a 2x2 matrix"),
+])
+def test_input_of_the_wrong_shape_is_an_error_line(fixture_files, command, rest, message, capsys):
+    args = [command, fixture_files["honeycomb"], *rest]
+    assert run_cli(args, capsys) == (1, "", f"error: {message}\n")
+
+
 def test_simulate_counts_past_its_indices_under_the_budget(fixture_files, capsys, monkeypatch):
     # index 20 is out of range, and counting the 9 cycles to say so meets the budget of 5
     monkeypatch.setenv("VELO_BUDGET", "5")

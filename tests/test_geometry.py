@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import CROSS_VERTICES, HEX_VELOCITIES, HEX_VERTICES, random_rational_points
-from oracles import facets_brute, gauge_caratheodory, member_caratheodory
+from oracles import distance_inf_brute, facets_brute, gauge_caratheodory, member_caratheodory
 from velo import (
     Facet,
     Polytope,
@@ -29,7 +29,6 @@ from velo import (
     polytope_to_dict,
     satisfies_facets,
 )
-from velo.linprog import solve_standard_lp
 
 F = Fraction
 
@@ -337,27 +336,6 @@ def test_distance_outside_values(hexagon, cross):
 # the facet-based queries against references that share no code with them
 
 
-def _distance_by_lp(p, x):
-    """min t s.t. x - t*1 <= sum(lam_i v_i) <= x + t*1, sum(lam) = 1, lam >= 0, as a simplex LP."""
-    m, d = len(p.vertices), p.dim
-    # variables: lam (m), t, slacks of the lower (d) and the upper (d) bounds
-    rows, rhs = [], []
-    for sign, first in ((1, m + 1), (-1, m + 1 + d)):
-        for j in range(d):
-            row = [v[j] for v in p.vertices] + [F(0)] * (1 + 2 * d)
-            row[m] = F(sign)
-            row[first + j] = F(-sign)
-            rows.append(row)
-            rhs.append(x[j])
-    rows.append([F(1)] * m + [F(0)] * (1 + 2 * d))
-    rhs.append(F(1))
-    cost = [F(0)] * (m + 1 + 2 * d)
-    cost[m] = F(1)
-    sol = solve_standard_lp(cost, rows, rhs)
-    assert sol.status == "optimal"
-    return sol.value
-
-
 @st.composite
 def polytope_queries(draw):
     """Up to six points from ``point_sets``, a query point and a second point set.
@@ -403,7 +381,7 @@ def test_facet_queries_match_references(query):
     assert contains_polytope(p, inner) == all(member_caratheodory(v, p.vertices) for v in inner_pts)
     assert contains_polytope(inner, p) == all(member_caratheodory(v, inner.vertices) for v in pts)
     assert gauge_norm(p, x) == gauge_caratheodory(x, p.vertices)
-    assert polytope_distance_inf(p, x) == _distance_by_lp(p, x)
+    assert polytope_distance_inf(p, x) == distance_inf_brute(x, p.vertices)
 
 
 # ---------------------------------------------------------------------------

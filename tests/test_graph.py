@@ -104,6 +104,15 @@ def test_parse_accepts_bytes(honeycomb):
     assert parse_dgf(HONEYCOMB_DGF.encode()) == honeycomb
 
 
+@pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029"])
+def test_every_str_splitlines_boundary_ends_a_line(end):
+    # a form feed and the rest end a line as LF does, and count in line numbers
+    assert parse_dgf(f"dim 1\nvertex a{end}edge a a 1\n").edges == (Edge(0, 0, (1,)),)
+    with pytest.raises(DgfError, match="^line 3: undeclared vertex 'b'$"):
+        parse_dgf(f"dim 1\nvertex a{end}edge a b 1\n".encode())
+
+
 # Entries and names for random DGF text: one integer has several spellings,
 # and a few entries and names are not valid at all.
 _ENTRIES = ("0", "1", "+1", "01", "-1", "-0", "+0", "2", "-02", "1_0")

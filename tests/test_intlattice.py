@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import lattice_rank_and_index_brute
 from velo import hermite_normal_form, lattice_rank_and_index
 
 
@@ -68,3 +69,16 @@ def test_negated_generators_same_lattice():
         rows = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(rng.randint(1, 4))]
         flipped = [tuple(-v for v in r) for r in rows]
         assert hermite_normal_form(rows) == hermite_normal_form(flipped)
+
+
+def test_rank_and_index_match_the_minors():
+    rng = random.Random(79)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        if rng.random() < 0.5:  # free entries, often of full rank
+            rows = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(rng.randint(0, 6))]
+        else:  # integer combinations of k <= d rows, often rank-deficient
+            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, d))]
+            rows = [tuple(sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(d))
+                    for _ in range(rng.randint(0, 6))]
+        assert lattice_rank_and_index(rows, d) == lattice_rank_and_index_brute(rows, d), rows

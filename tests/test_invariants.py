@@ -21,6 +21,7 @@ from velo import (
     bfs_distance,
     connectivity_report,
     convex_hull,
+    gamma_norm_oracle,
     gauge_norm,
     lattice_rank_and_index,
     origin_in_hull_interior,
@@ -305,3 +306,14 @@ def test_strong_verdict_makes_every_gauge_finite(g, x):
     analysis = GraphAnalysis(g)
     assume(analysis.report.verdict == VERDICT_STRONG)
     assert isinstance(gauge_norm(analysis.polytope, x[: g.dim]), Fraction)
+
+
+@given(rings(), st.lists(st.integers(-2, 2), min_size=3, max_size=3), st.integers(1, 2))
+def test_bfs_growth_samples_never_undercut_the_gauge(g, x, n):
+    # the oracle's walk from (v, 0) to (v, n x) is closed in the quotient, so
+    # it splits into simple cycles c with n x = sum(len(c) vel(c)) and every
+    # vel(c) in P: the gauge of x is at most sum(len(c)) / n, the sample
+    analysis = GraphAnalysis(g)
+    assume(analysis.report.verdict == VERDICT_STRONG)
+    x = x[: g.dim]
+    assert gamma_norm_oracle(g, x, n) >= gauge_norm(analysis.polytope, x)
