@@ -43,7 +43,6 @@ from .geometry import (
     dimensionality,
     gauge_norm,
     hull_ring_2d,
-    is_symmetric,
     origin_in_hull_interior,
     polytope_distance_inf,
     polytope_from_dict,
@@ -121,7 +120,6 @@ __all__ = [
     "hermite_normal_form",
     "hull_ring_2d",
     "is_cycle",
-    "is_symmetric",
     "lattice_rank_and_index",
     "origin_in_hull_interior",
     "parse_dgf",

@@ -238,9 +238,12 @@ class _Hull:
         for key, f in self.boundary.items():
             for i in key:
                 normals.setdefault(i, set()).add(f.normal)
+        # For r <= 3, r distinct normals already span R^r: a point inside an
+        # edge of a 3-polytope lies on exactly two facets, inside a facet on one.
         r = len(self.axes)
         vertices = tuple(sorted(
-            self.points[i] for i, ns in normals.items() if len(_reduce(list(ns))[1]) == r
+            self.points[i] for i, ns in normals.items()
+            if len(ns) >= r and (r <= 3 or len(_reduce(list(ns))[1]) == r)
         ))
         if r < dim:
             return Polytope(dim, vertices)
@@ -406,14 +409,16 @@ def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
         hull = _Hull(points)
         facets = hull.facets()
         y = tuple(hull.scale * q[c] for c in hull.axes)
-    gauge = _ZERO
+    (ints,), k = _integer_rows([y])  # y = ints / k
+    top, bottom = 0, 1  # the largest a.ints / b so far, compared by cross-multiplying
     for f in facets:
-        ay = sum(a * c for a, c in zip(f.normal, y))
+        ay = sum(map(mul, f.normal, ints))
         if f.offset:
-            gauge = max(gauge, ay / f.offset)
+            if ay * bottom > top * f.offset:
+                top, bottom = ay, f.offset
         elif ay > 0:
             return None
-    return gauge
+    return Fraction(top, bottom * k)
 
 
 def polytope_distance_inf(p: Polytope, x: Sequence) -> Fraction:
@@ -435,12 +440,6 @@ def polytope_distance_inf(p: Polytope, x: Sequence) -> Fraction:
         ax = sum(a * c for a, c in zip(f.normal, q))
         dist = max(dist, (ax - f.offset) / sum(map(abs, f.normal)) + 1)
     return dist
-
-
-def is_symmetric(p: Polytope) -> bool:
-    """True iff the vertex set equals its negation exactly."""
-    vs = set(p.vertices)
-    return vs == {tuple(-c for c in v) for v in vs}
 
 
 def _holds_origin_inside(p: Polytope) -> bool:
@@ -504,12 +503,13 @@ def anisotropy(p: Polytope, metric: Sequence[Sequence] | None = None) -> Anisotr
     m = _check_metric(metric, d) if metric is not None else [
         [_ONE if i == j else _ZERO for j in range(d)] for i in range(d)
     ]
-    circum = max(
-        sum(v[i] * m[i][j] * v[j] for i in range(d) for j in range(d)) for v in p.vertices
-    )
-    # With M = ints / scale, a'M^-1 a = scale * a.x for ints.x = a; one
-    # elimination of [ints | every normal] leaves det * x in the columns.
+    # With M = ints / scale and each vertex y / vscale, x'Mx = y'(ints)y / (vscale^2 scale).
     ints, scale = _integer_rows(m)
+    ys, vscale = _integer_rows(p.vertices)
+    top = max(sum(a * sum(map(mul, row, y)) for a, row in zip(y, ints)) for y in ys)
+    circum = Fraction(top, vscale * vscale * scale)
+    # a'M^-1 a = scale * a.x for ints.x = a; one elimination of
+    # [ints | every normal] leaves det * x in the columns.
     reduced, _, det = _reduce([row + [f.normal[i] for f in p.facets] for i, row in enumerate(ints)])
     inrad = min(
         Fraction(

@@ -166,18 +166,30 @@ class GraphAnalysis:
         return tuple(sorted(pieces))  # by the graph's component id
 
     def _support(self, comp: tuple[int, ...], inside: list[int]):
-        """The support function of one component's velocity polytope."""
+        """The support function of one component's velocity polytope.
+
+        When the component's arcs, reversed with their displacements negated,
+        are the same arcs again, every cycle reversed is a cycle with the
+        negated displacement and the same length, so P = -P: an answer (D, T)
+        for -u answers u with (-D, T), and the oracle is not asked again.
+        """
         local = {v: i for i, v in enumerate(comp)}
         edges = [self.core.edges[eid] for eid in inside]
         arcs = [(local[e.source], local[e.target]) for e in edges]
         disps = [e.displacement for e in edges]
         lengths = [self._lengths[eid] for eid in inside]
         where = ",".join(self.core.vertices[v] for v in comp)
+        rows = sorted(zip(arcs, disps, lengths))
+        mirrored = rows == sorted(((t, s), tuple(-c for c in d), n) for (s, t), d, n in rows)
+        answers: dict[tuple[int, ...], tuple[IntVec, int]] = {}
 
         def support(u: tuple[int, ...]) -> tuple[IntVec, int]:
+            if mirrored and (back := answers.get(tuple(-c for c in u))):
+                return tuple(-c for c in back[0]), back[1]
             weights = [sum(map(mul, u, d)) for d in disps]
             cycle = max_ratio_cycle(arcs, weights, lengths, self.oracle_budget, where)
-            return _displacement_sum(disps, cycle), sum(lengths[a] for a in cycle)
+            answers[u] = _displacement_sum(disps, cycle), sum(lengths[a] for a in cycle)
+            return answers[u]
 
         return support
 

@@ -27,6 +27,31 @@ edge O O 0 1
 edge O O 0 -1
 """
 
+CUBIC_DGF = """\
+dim 3
+vertex O
+edge O O 1 0 0
+edge O O -1 0 0
+edge O O 0 1 0
+edge O O 0 -1 0
+edge O O 0 0 1
+edge O O 0 0 -1
+"""
+
+DIAMOND_DGF = """\
+dim 3
+vertex A
+vertex B
+edge A B 0 0 0
+edge A B 1 0 0
+edge A B 0 1 0
+edge A B 0 0 1
+edge B A 0 0 0
+edge B A -1 0 0
+edge B A 0 -1 0
+edge B A 0 0 -1
+"""
+
 PM2_DGF = """\
 dim 1
 vertex O

@@ -4,9 +4,9 @@ Nothing here shares code paths with the library: cycles come from plain DFS,
 strongly connected components from mutual reachability, DGF text from a
 token-by-token reading of the grammar, window distances from a BFS over
 (vertex, coordinates) tuples, lattice ranks and indices from minors, and
-membership, gauge values, max-norm distances and facets come from enumerating
-small point subsets and solving exact linear systems, never from the simplex
-solver or the hull.
+membership, gauge values, max-norm distances, facets and radii come from
+enumerating small point subsets and solving exact linear systems, never from
+the simplex solver or the hull.
 """
 from __future__ import annotations
 
@@ -323,3 +323,21 @@ def facets_brute(
         elif all(v >= offset for v in values):
             found.add(_coprime([-a for a in normal], -offset))
     return sorted(found) or None
+
+
+def anisotropy_brute(
+    points: Sequence[Sequence[Fraction]], metric: Sequence[Sequence[Fraction]]
+) -> tuple[Fraction, Fraction]:
+    """(inradius^2, circumradius^2) in the metric M of the hull of the points, which
+    must hold the origin inside: the largest v'Mv over the points, and the
+    least b^2 / (a'M^-1 a) over the facets a.x <= b of ``facets_brute``, with
+    M^-1 a solved exactly."""
+    m = [[Fraction(c) for c in row] for row in metric]
+    d = len(m)
+    circum = max(sum(v[i] * m[i][j] * v[j] for i in range(d) for j in range(d)) for v in points)
+    inrad = None
+    for a, b in facets_brute(points):
+        z = solve_exact(m, [Fraction(c) for c in a])
+        value = Fraction(b * b) / sum((c * w for c, w in zip(a, z)), Fraction(0))
+        inrad = value if inrad is None else min(inrad, value)
+    return inrad, circum

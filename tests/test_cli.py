@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import HONEYCOMB_DGF, random_graph, subdivide
+from helpers import DIAMOND_DGF, HONEYCOMB_DGF, random_graph, subdivide
 from velo import (
     DisplacementGraph,
     convex_hull,
@@ -500,20 +500,6 @@ def test_svg_rejects_non_2d(fixture_files, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # pinned output
 
-
-DIAMOND_DGF = """\
-dim 3
-vertex A
-vertex B
-edge A B 0 0 0
-edge A B 1 0 0
-edge A B 0 1 0
-edge A B 0 0 1
-edge B A 0 0 0
-edge B A -1 0 0
-edge B A 0 -1 0
-edge B A 0 0 -1
-"""
 
 CROSS4_DGF = "dim 4\nvertex O\n" + "".join(
     "edge O O " + " ".join(str(s if j == i else 0) for j in range(4)) + "\n"

@@ -6,11 +6,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import CROSS_VERTICES, HEX_VELOCITIES, HEX_VERTICES, random_rational_points
-from oracles import distance_inf_brute, facets_brute, gauge_caratheodory, member_caratheodory
+from oracles import (
+    anisotropy_brute,
+    distance_inf_brute,
+    facets_brute,
+    gauge_caratheodory,
+    member_caratheodory,
+)
 from velo import (
     Facet,
     Polytope,
@@ -22,7 +28,6 @@ from velo import (
     dimensionality,
     gauge_norm,
     hull_ring_2d,
-    is_symmetric,
     origin_in_hull_interior,
     polytope_distance_inf,
     polytope_from_json,
@@ -172,6 +177,11 @@ def _ccw(ring):
 _small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
+# the cross-polytope of e1, 2 e2, e3, e4 and their negatives
+_CROSS_4 = [tuple(F(s * a * (i == j)) for j in range(4)) for i, a in enumerate((1, 2, 1, 1))
+            for s in (1, -1)]
+
+
 @st.composite
 def point_sets(draw):
     """1-9 small rational points in d = 1..4, duplicates allowed.
@@ -197,6 +207,14 @@ def point_sets(draw):
 @example([(F(-1), F(0)), (F(1), F(0)), (F(0), F(1))])  # the origin on a facet
 @example([(F(-3), F(0)), (F(3), F(0)), (F(2), F(0)), (F(0), F(1))])  # the 3 farthest are collinear
 @example([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))])
+# The midpoint of e1 and 2 e2 is farther from the centroid than e1, so it joins
+# the boundary before e1, which then leaves it inside an edge of the 4-d
+# cross-polytope: on four facets whose normals have rank 3, so counting them
+# is not enough to call it a vertex.
+@example(_CROSS_4 + [(F(1, 2), F(1), F(0), F(0))])
+# the same edge at the base of a pyramid in d = 5: five normals, of rank 4
+@example([v + (F(0),) for v in _CROSS_4 + [(F(1, 2), F(1), F(0), F(0))]]
+         + [(F(0), F(0), F(0), F(0), F(1))])
 def test_hull_matches_brute_force_oracles(pts):
     d = len(pts[0])
     p = convex_hull(pts)
@@ -385,13 +403,7 @@ def test_facet_queries_match_references(query):
 
 
 # ---------------------------------------------------------------------------
-# symmetry, dimension, interior
-
-
-def test_is_symmetric(hexagon):
-    assert is_symmetric(hexagon)
-    assert is_symmetric(convex_hull([(F(-2),), (F(2),)]))
-    assert not is_symmetric(convex_hull([(F(0),), (F(1),)]))
+# dimension, interior
 
 
 def test_dimensionality(hexagon):
@@ -446,6 +458,35 @@ def test_anisotropy_with_metric(hexagon):
     assert an.inradius_sq == F(1, 4)
     assert an.circumradius_sq == F(1)
     assert not an.isotropic
+
+
+@st.composite
+def origin_polytopes(draw):
+    """2-7 small rational points in d = 1..3, moved by their centroid, which then
+    lies inside their hull, and a metric: None for the identity, or
+    (L L' + I) / q for an integer lower-triangular L and q = 1..3."""
+    d = draw(st.integers(1, 3))
+    vec = st.lists(_small_rationals, min_size=d, max_size=d)
+    pts = draw(st.lists(vec, min_size=d + 1, max_size=7))
+    centroid = [sum(col) / len(pts) for col in zip(*pts)]
+    pts = [tuple(c - m for c, m in zip(p, centroid)) for p in pts]
+    if draw(st.booleans()):
+        return pts, None
+    low = [[draw(st.integers(-2, 2)) if j <= i else 0 for j in range(d)] for i in range(d)]
+    q = draw(st.integers(1, 3))
+    return pts, [[F(sum(low[i][k] * low[j][k] for k in range(d)) + (i == j), q) for j in range(d)]
+                 for i in range(d)]
+
+
+@given(origin_polytopes())
+def test_anisotropy_matches_brute_force(case):
+    pts, metric = case
+    p = convex_hull(pts)
+    assume(p.facets is not None)  # full-dimensional
+    d = len(pts[0])
+    identity = [[F(i == j) for j in range(d)] for i in range(d)]
+    inrad, circum = anisotropy_brute(pts, metric or identity)
+    assert anisotropy(p, metric) == (inrad, circum, inrad == circum)
 
 
 def test_anisotropy_errors(hexagon):

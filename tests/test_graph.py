@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import HONEYCOMB_DGF, random_gauge, random_graph, random_walk
+from helpers import DIAMOND_DGF, HONEYCOMB_DGF, random_gauge, random_graph, random_walk
 from oracles import bfs_window, reference_dgf
 from velo import (
     BudgetError,
@@ -482,13 +482,6 @@ def test_oracle_unreachable_direction():
 def test_oracle_window_holds_the_goal(square):
     # the fixed radius 4 * (3 + 1 + 1) holds the goal (12, 0): no radius to get wrong
     assert gamma_norm_oracle(square, (3, 0), 4) == 3
-
-
-DIAMOND_DGF = (
-    "dim 3\nvertex A\nvertex B\n"
-    "edge A B 0 0 0\nedge A B 1 0 0\nedge A B 0 1 0\nedge A B 0 0 1\n"
-    "edge B A 0 0 0\nedge B A -1 0 0\nedge B A 0 -1 0\nedge B A 0 0 -1\n"
-)
 
 
 def test_oracle_holds_one_window_at_a_time():

@@ -8,12 +8,21 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import CROSS_VERTICES, HEX_VERTICES, random_strongly_connected_graph, subdivide
-from oracles import brute_cycles
+from helpers import (
+    CROSS_VERTICES,
+    CUBIC_DGF,
+    DIAMOND_DGF,
+    HEX_VERTICES,
+    HONEYCOMB_DGF,
+    random_strongly_connected_graph,
+    subdivide,
+)
+from oracles import brute_cycles, brute_sccs, facets_brute, member_caratheodory
 from velo import (
     Edge,
     GraphAnalysis,
     NotStronglyConnectedError,
+    Polytope,
     VERDICT_DISCONNECTED,
     VERDICT_QUOTIENT,
     VERDICT_STRONG,
@@ -317,3 +326,77 @@ def test_bfs_growth_samples_never_undercut_the_gauge(g, x, n):
     assume(analysis.report.verdict == VERDICT_STRONG)
     x = x[: g.dim]
     assert gamma_norm_oracle(g, x, n) >= gauge_norm(analysis.polytope, x)
+
+
+# ---------------------------------------------------------------------------
+# components whose arcs are closed under reversal answer -u from u
+
+
+def _expected_components(g):
+    """(component id, polytope) per component with a cycle, from ``brute_cycles``,
+    ``brute_sccs``, ``member_caratheodory`` and ``facets_brute`` alone."""
+    comp_of = {v: i for i, comp in enumerate(brute_sccs(g)) for v in comp}
+    per_comp: dict[int, set] = {}
+    for c in brute_cycles(g):
+        total = [sum(g.edges[e].displacement[j] for e in c) for j in range(g.dim)]
+        per_comp.setdefault(comp_of[g.edges[c[0]].source], set()).add(
+            tuple(F(x, len(c)) for x in total))
+    out = []
+    for comp_id, vels in sorted(per_comp.items()):
+        pts = sorted(vels)
+        vertices = tuple(v for i, v in enumerate(pts)
+                         if not member_caratheodory(v, pts[:i] + pts[i + 1:]))
+        facets = facets_brute(pts)
+        out.append((comp_id, Polytope(g.dim, vertices, facets and tuple(facets))))
+    return tuple(out)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Up to 3 vertices in d = 1..3 and up to 3 edges, each with its reverse under
+    the negated displacement; both edges of a pair are cut into the same number
+    of steps, and a gauge move then shifts every vertex, chain vertices too."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    disp = st.tuples(*[st.integers(-2, 2)] * dim)
+    half = draw(st.lists(st.builds(Edge, vertex, vertex, disp), min_size=1, max_size=3))
+    edges = half + [Edge(e.target, e.source, tuple(-x for x in e.displacement)) for e in half]
+    cuts = draw(st.lists(st.integers(0, 2), min_size=len(half), max_size=len(half)))
+    g = subdivide(DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges)),
+                  dict(enumerate(cuts + cuts)))
+    shift = draw(st.lists(disp, min_size=len(g.vertices), max_size=len(g.vertices)))
+    return DisplacementGraph(dim, g.vertices, tuple(
+        Edge(s, t, tuple(x + b - a for x, a, b in zip(d, shift[s], shift[t])))
+        for s, t, d in g.edges))
+
+
+@given(symmetric_graphs())
+def test_symmetric_components_match_brute_force(g):
+    assert GraphAnalysis(g).components == _expected_components(g)
+
+
+def test_one_longer_arc_breaks_the_symmetry():
+    # the honeycomb with its B->A edge of displacement (0, -1) cut into two
+    # steps: reversal maps the arcs onto themselves, but not that one's length
+    g = subdivide(parse_dgf(HONEYCOMB_DGF), {4: 1})
+    components = GraphAnalysis(g).components
+    assert components == _expected_components(g)
+    vertices = set(components[0][1].vertices)
+    assert vertices != {tuple(-c for c in v) for v in vertices}  # so P != -P
+
+
+# 14 and 20 support queries when each direction is asked
+@pytest.mark.parametrize("text, calls", [(CUBIC_DGF, 7), (DIAMOND_DGF, 12)], ids=["cub", "dia"])
+def test_symmetric_components_ask_the_oracle_less(text, calls, monkeypatch):
+    import velo.invariants
+
+    original, made = velo.invariants.max_ratio_cycle, []
+
+    def counting(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(velo.invariants, "max_ratio_cycle", counting)
+    GraphAnalysis(parse_dgf(text)).polytope
+    assert len(made) == calls
