@@ -75,7 +75,7 @@ from .invariants import (
     velocity_polytope,
     velocity_set,
 )
-from .realize import realize, roundtrip_check
+from .realize import realize
 from .svg import polytope_svg
 
 __version__ = "0.1.0"
@@ -130,7 +130,6 @@ __all__ = [
     "polytope_svg",
     "polytope_to_dict",
     "realize",
-    "roundtrip_check",
     "satisfies_facets",
     "schedule",
     "schedule_totals",

@@ -70,9 +70,8 @@ def is_cycle(g: DisplacementGraph, edges: Sequence[int]) -> bool:
     return len(set(sources)) == len(sources)
 
 
-def core_cycles(
-    core: DisplacementGraph, chains: Sequence[Sequence[int]] | None, max_cycles: int
-) -> Iterator[Path]:
+def core_cycles(core: DisplacementGraph, chains: Sequence[Sequence[int]] | None,
+                max_cycles: int, twins: Sequence[int] | None = None) -> Iterator[Path]:
     """Every simple cycle of a chain-folded graph, as its edge ids, one at a time.
 
     Edge j of ``core`` stands for the original edges ``chains[j]`` (for j
@@ -83,6 +82,13 @@ def core_cycles(
     ``contract_chains`` numbers each vertex's out-edges by the first ids of
     their chains.  The (max_cycles + 1)-th cycle raises BudgetError naming
     its component.
+
+    With ``twins`` (``GraphAnalysis._twins``: each edge's reverse, or -1),
+    a root's twin leaves the graph with it and a root whose twin has left is
+    skipped, so each pair {C, reverse of C} is searched from the least edge
+    of both: C alone, standing for both (the budget counts two), unless C
+    closes through the root's twin, when C and its reverse come from that
+    one search.  On overflow the plain stream is replayed, to raise there.
 
     Each search is Johnson's (1975), along the edges inside the component in
     ascending order, so it yields in lexicographic order (no simple cycle is
@@ -97,10 +103,11 @@ def core_cycles(
     blocked = [False] * len(core.vertices)
     # Johnson's B(w): sets, so each v enters once, which keeps the delay polynomial
     unblocks: list[set[int]] = [set() for _ in core.vertices]
-    count = 0
+    count, searched = 0, set()
     for e0 in roots:
         root, first, _ = edges[e0]
-        if comp_of[root] != comp_of[first]:
+        twin = -1 if twins is None else twins[e0]
+        if comp_of[root] != comp_of[first] or twin in searched:
             continue
         # the root's own frame runs e0 alone; reaching the root closes a cycle
         touched, path, frames = [root], [], []
@@ -108,8 +115,11 @@ def core_cycles(
         while True:
             for j, w in it:
                 if w == root:
-                    count += 1
+                    count += 1 + (0 <= twin != j)
                     if count > max_cycles:
+                        if twins is not None:
+                            for _ in core_cycles(core, chains, max_cycles):
+                                pass
                         names = ",".join(core.vertices[u] for u in core._sccs[comp_of[root]])
                         raise BudgetError(f"cycle budget of {max_cycles} exceeded "
                                           f"while exploring component {{{names}}}")
@@ -143,6 +153,9 @@ def core_cycles(
             blocked[u] = False
             unblocks[u].clear()
         steps[root].remove((e0, first))
+        if 0 <= twin != e0:
+            steps[first].remove((twin, root))
+        searched.add(e0)
 
 
 def unfolded_cycles(

@@ -65,8 +65,9 @@ class GraphAnalysis:
     ``cycle_stream``, ``cycle_count``, ``cycle_pairs`` and ``velocities``
     enumerate simple cycles, from one stream on ``core`` that leaves the
     search canonical and sorted, against the cycle budget; ``cycle_stream``
-    reads it only as far as its caller does.  The oracle budget bounds the
-    relaxations of each support query.
+    reads it only as far as its caller does, and ``cycle_pairs`` lists one
+    cycle of each reversed pair on a component whose arcs mirror (``_twins``).
+    The oracle budget bounds the relaxations of each support query.
     """
 
     def __init__(
@@ -120,21 +121,28 @@ class GraphAnalysis:
     @cached_property
     def cycle_pairs(self) -> Counter[tuple[IntVec, int]]:
         """How many simple cycles have each (displacement, length) pair, from one
-        pass of the core's cycle stream.
+        pass of the core's cycle stream, halved on mirrored components.
 
-        Each core edge is coded as one integer whose balanced base-B digits
-        are its length and its displacement, with B = 2m + 1 for m the larger
-        of the sum of the lengths and the sum of each displacement's largest
-        absolute entry.  A simple cycle uses each edge at most once, so every
-        digit of its codes' sum stays within m in absolute value and decodes.
+        With ``_twins``, a listed cycle that does not close through its first
+        edge's twin also counts its reverse.  Each core edge is coded as one
+        integer whose balanced base-B digits are its length and its
+        displacement, with B = 2m + 1 for m the larger of the sum of the
+        lengths and the sum of each displacement's largest absolute entry.  A
+        simple cycle uses each edge at most once, so every digit of its codes'
+        sum stays within m in absolute value and decodes.
         """
-        core, c, lengths = self.core, self._contraction, self._lengths
+        core, c, lengths, twins = self.core, self._contraction, self._lengths, self._twins
         half = max(sum(lengths), sum(max(map(abs, e.displacement)) for e in core.edges))
         base = 2 * half + 1
         codes = [sum(x * base**i for i, x in enumerate((n, *e.displacement)))
                  for e, n in zip(core.edges, lengths)]
-        packed = Counter(sum(map(codes.__getitem__, cycle))
-                         for cycle in core_cycles(core, c and c.chains, self.max_cycles))
+        packed, mirrored = Counter(), Counter()
+        for cycle in core_cycles(core, c and c.chains, self.max_cycles, twins):
+            code = sum(map(codes.__getitem__, cycle))
+            (mirrored if 0 <= twins[cycle[0]] != cycle[-1] else packed)[code] += 1
+        # each mirrored code T + B*D also stands for its reverse, T - B*D
+        packed.update(mirrored)
+        packed.update({2 * ((code + half) % base - half) - code: n for code, n in mirrored.items()})
 
         def unpack(code: int) -> tuple[IntVec, int]:
             digits = []
@@ -165,13 +173,29 @@ class GraphAnalysis:
                 pieces.append((self.scc_membership[kept[comp[0]]], comp, inside))
         return tuple(sorted(pieces))  # by the graph's component id
 
+    @cached_property
+    def _twins(self) -> list[int]:
+        """Each core edge's reverse, or -1 outside a mirrored component: one whose
+        sorted ((s, t), d, len, id) rows have the keys of the sorted ((t, s), -d,
+        len, id) rows.  Ties go by id, so pairing row i with row i is an
+        involution, and a zero self-loop is its own twin."""
+        core, lengths, twins = self.core, self._lengths, [-1] * len(self.core.edges)
+        for _, _, inside in self._pieces:
+            rows = sorted((core.edges[eid][:2], core.edges[eid].displacement, lengths[eid], eid)
+                          for eid in inside)
+            back = sorted(((t, s), tuple(-c for c in d), n, eid) for (s, t), d, n, eid in rows)
+            if all(a[:3] == b[:3] for a, b in zip(rows, back)):
+                for a, b in zip(rows, back):
+                    twins[a[3]] = b[3]
+        return twins
+
     def _support(self, comp: tuple[int, ...], inside: list[int]):
         """The support function of one component's velocity polytope.
 
-        When the component's arcs, reversed with their displacements negated,
-        are the same arcs again, every cycle reversed is a cycle with the
-        negated displacement and the same length, so P = -P: an answer (D, T)
-        for -u answers u with (-D, T), and the oracle is not asked again.
+        When the component's arcs mirror (``_twins``), every cycle reversed is
+        a cycle with the negated displacement and the same length, so P = -P:
+        an answer (D, T) for -u answers u with (-D, T), and the oracle is not
+        asked again.
         """
         local = {v: i for i, v in enumerate(comp)}
         edges = [self.core.edges[eid] for eid in inside]
@@ -179,8 +203,7 @@ class GraphAnalysis:
         disps = [e.displacement for e in edges]
         lengths = [self._lengths[eid] for eid in inside]
         where = ",".join(self.core.vertices[v] for v in comp)
-        rows = sorted(zip(arcs, disps, lengths))
-        mirrored = rows == sorted(((t, s), tuple(-c for c in d), n) for (s, t), d, n in rows)
+        mirrored = self._twins[inside[0]] >= 0
         answers: dict[tuple[int, ...], tuple[IntVec, int]] = {}
 
         def support(u: tuple[int, ...]) -> tuple[IntVec, int]:

@@ -14,9 +14,8 @@ import math
 from itertools import chain, repeat
 
 from .errors import BudgetError
-from .geometry import Polytope, convex_hull
+from .geometry import Polytope
 from .graph import DisplacementGraph, _edge
-from .invariants import DEFAULT_ORACLE_BUDGET, velocity_polytope
 
 DEFAULT_REALIZE_BUDGET = 5_000_000
 
@@ -41,9 +40,3 @@ def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> Displacemen
     ring = zip(range(scale - 1), range(1, scale), repeat((0,) * p.dim))  # one shared zero
     closing = ((scale - 1, 0, tuple(int(scale * c) for c in w)) for w in p.vertices)
     return DisplacementGraph(p.dim, vertices, tuple(map(_edge, chain(ring, closing))))
-
-
-def roundtrip_check(p: Polytope, *, budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
-    """True iff the realized graph's velocity polytope has the input's (canonical) hull vertices."""
-    back = velocity_polytope(realize(p), budget=budget)
-    return back.vertices == convex_hull(p.vertices, dim=p.dim).vertices

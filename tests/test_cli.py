@@ -739,6 +739,34 @@ def test_one_enumeration_per_graph_argument(
         assert all(contract_chains(g) is None for g in calls), args
 
 
+@pytest.mark.parametrize("text, listed, total", [
+    (HONEYCOMB_DGF, 6, 9),
+    (nets.dgf_text(nets.supercell(nets.BASE["sq"], (2, 2))), 28, 48),
+], ids=["hc", "sq_2x2"])
+def test_report_lists_one_cycle_of_each_mirrored_pair(text, listed, total, tmp_path, capsys,
+                                                      monkeypatch):
+    import velo.cycles
+
+    original, read = velo.cycles.core_cycles, []
+
+    def counting(*args, **kwargs):
+        for cycle in original(*args, **kwargs):
+            read.append(cycle)
+            yield cycle
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "velo" and getattr(module, "core_cycles", None) is original:
+            monkeypatch.setattr(module, "core_cycles", counting)
+    path = tmp_path / "net.dgf"
+    path.write_text(text)
+    code, out, _ = run_cli(["report", str(path)], capsys)
+    assert (code, len(read)) == (0, listed)
+    assert f"\ncycles {total}\n" in out
+    read.clear()
+    code, out, _ = run_cli(["cycles", str(path)], capsys)
+    assert (code, len(read), out.splitlines()[-1]) == (0, total, f"cycles {total}")
+
+
 # ---------------------------------------------------------------------------
 # graphs with chain vertices (in-degree 1, out-degree 1), which the analysis
 # folds into single edges; the expected bytes are those of the unfolded analysis

@@ -19,6 +19,7 @@ from helpers import (
 )
 from oracles import brute_cycles, brute_sccs, facets_brute, member_caratheodory
 from velo import (
+    BudgetError,
     Edge,
     GraphAnalysis,
     NotStronglyConnectedError,
@@ -40,6 +41,7 @@ from velo import (
     velocity_polytope,
     velocity_set,
 )
+from velo.cycles import core_cycles
 
 F = Fraction
 
@@ -235,19 +237,104 @@ def packed_graphs(draw):
     return subdivide(g, {eid: draw(st.integers(1, 3)) for eid in picks})
 
 
-# each has a cycle with a digit at +-(B - 1)/2, the largest the packing allows
-@given(packed_graphs())
+@st.composite
+def symmetric_graphs(draw, dim=None):
+    """Up to 3 vertices in d = 1..3 (or ``dim``) and up to 3 edges, each with its
+    reverse under the negated displacement; both edges of a pair are cut into
+    the same number of steps, and a gauge move then shifts every vertex, chain
+    vertices too."""
+    dim = dim or draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    disp = st.tuples(*[st.integers(-2, 2)] * dim)
+    half = draw(st.lists(st.builds(Edge, vertex, vertex, disp), min_size=1, max_size=3))
+    edges = half + [Edge(e.target, e.source, tuple(-x for x in e.displacement)) for e in half]
+    cuts = draw(st.lists(st.integers(0, 2), min_size=len(half), max_size=len(half)))
+    g = subdivide(DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges)),
+                  dict(enumerate(cuts + cuts)))
+    shift = draw(st.lists(disp, min_size=len(g.vertices), max_size=len(g.vertices)))
+    return DisplacementGraph(dim, g.vertices, tuple(
+        Edge(s, t, tuple(x + b - a for x, a, b in zip(d, shift[s], shift[t])))
+        for s, t, d in g.edges))
+
+
+@st.composite
+def two_mirrored_components(draw):
+    """Two symmetric graphs of one dimension side by side, their edges in a drawn order."""
+    dim = draw(st.integers(1, 2))
+    g, h = draw(symmetric_graphs(dim)), draw(symmetric_graphs(dim))
+    edges = [*g.edges, *(Edge(s + len(g.vertices), t + len(g.vertices), d) for s, t, d in h.edges)]
+    order = draw(st.permutations(range(len(edges))))
+    return DisplacementGraph(dim, (*g.vertices, *(f"w{v}" for v in h.vertices)),
+                             tuple(edges[i] for i in order))
+
+
+# each packed example has a cycle with a digit at +-(B - 1)/2, the largest
+# the packing allows; each mirrored one pins a case of the twin pairing
+@given(st.one_of(packed_graphs(), symmetric_graphs()))
 @example(parse_dgf("dim 1\nvertex A\nedge A A -5"))  # B = 11, displacement digit -5
 @example(parse_dgf("dim 1\nvertex A\nedge A A 5"))  # B = 11, displacement digit 5
 @example(parse_dgf("dim 2\nvertex A\nedge A A -5 5"))  # both signs in one code
 @example(parse_dgf("dim 1\nvertex A\nvertex B\nedge A B -3\nedge B A -2"))  # -5 from two
 @example(subdivide(parse_dgf("dim 1\nvertex A\nedge A A 0"), {0: 2}))  # length digit 3
+@example(parse_dgf("dim 1\nvertex A\nedge A A 0"))  # a zero self-loop, its own twin
+# two identical arcs and their two reverses: twins tie-break by edge id
+@example(parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 1\nedge A B 1\nedge B A -1\nedge B A -1"))
+@example(parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 1\nedge B A -1"))  # holds its root's twin
+@example(subdivide(parse_dgf(HONEYCOMB_DGF), {4: 1}))  # one longer arc: not mirrored
 def test_cycle_pairs_match_brute_force(g):
     expected = Counter(
         (tuple(map(sum, zip(*(g.edges[eid].displacement for eid in c)))), len(c))
         for c in brute_cycles(g)
     )
     assert GraphAnalysis(g).cycle_pairs == expected
+
+
+def _budget_message(run):
+    try:
+        run()
+    except BudgetError as exc:
+        return str(exc)
+    return None
+
+
+# two mirrored components whose cycles interleave in the plain stream: the
+# halved search reaches a count early in {a0,a1} that the plain stream
+# reaches in {b0,b1}
+TWO_MIRRORED_DGF = """\
+dim 1
+vertex a0
+vertex a1
+vertex b0
+vertex b1
+edge a0 a1 1
+edge b0 b1 1
+edge a1 a0 -1
+edge b1 b0 -1
+edge a0 a1 2
+edge b0 b1 0
+edge a1 a0 -2
+edge b1 b0 0
+"""
+
+
+def test_halved_count_overflows_where_the_plain_stream_does():
+    g = parse_dgf(TWO_MIRRORED_DGF)
+    names = []
+    for k in range(1, 8):
+        message = _budget_message(lambda: GraphAnalysis(g, max_cycles=k).cycle_pairs)
+        assert message == _budget_message(lambda: list(core_cycles(g, None, k)))
+        names.append(message.rsplit(" ", 1)[1])
+    assert names == ["{a0,a1}", "{b0,b1}", "{b0,b1}", "{a0,a1}", "{b0,b1}", "{a0,a1}", "{b0,b1}"]
+    assert GraphAnalysis(g, max_cycles=8).cycle_count == 8
+
+
+@given(two_mirrored_components())
+def test_halved_count_meets_the_budget_as_the_plain_stream_does(g):
+    total = len(brute_cycles(g))
+    for k in range(1, total + 1):
+        assert _budget_message(lambda: GraphAnalysis(g, max_cycles=k).cycle_pairs) == (
+            _budget_message(lambda: GraphAnalysis(g, max_cycles=k).cycles))
 
 
 @given(small_graphs())
@@ -349,26 +436,6 @@ def _expected_components(g):
         facets = facets_brute(pts)
         out.append((comp_id, Polytope(g.dim, vertices, facets and tuple(facets))))
     return tuple(out)
-
-
-@st.composite
-def symmetric_graphs(draw):
-    """Up to 3 vertices in d = 1..3 and up to 3 edges, each with its reverse under
-    the negated displacement; both edges of a pair are cut into the same number
-    of steps, and a gauge move then shifts every vertex, chain vertices too."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
-    vertex = st.integers(0, n - 1)
-    disp = st.tuples(*[st.integers(-2, 2)] * dim)
-    half = draw(st.lists(st.builds(Edge, vertex, vertex, disp), min_size=1, max_size=3))
-    edges = half + [Edge(e.target, e.source, tuple(-x for x in e.displacement)) for e in half]
-    cuts = draw(st.lists(st.integers(0, 2), min_size=len(half), max_size=len(half)))
-    g = subdivide(DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), tuple(edges)),
-                  dict(enumerate(cuts + cuts)))
-    shift = draw(st.lists(disp, min_size=len(g.vertices), max_size=len(g.vertices)))
-    return DisplacementGraph(dim, g.vertices, tuple(
-        Edge(s, t, tuple(x + b - a for x, a, b in zip(d, shift[s], shift[t])))
-        for s, t, d in g.edges))
 
 
 @given(symmetric_graphs())
