@@ -37,7 +37,6 @@ from .geometry import (
     Polytope,
     affine_dimension,
     anisotropy,
-    contains_point,
     contains_polytope,
     convex_hull,
     dimensionality,
@@ -45,7 +44,6 @@ from .geometry import (
     hull_ring_2d,
     origin_in_hull_interior,
     polytope_distance_inf,
-    polytope_from_dict,
     polytope_from_json,
     polytope_to_dict,
     satisfies_facets,
@@ -53,14 +51,12 @@ from .geometry import (
 from .graph import (
     DisplacementGraph,
     Edge,
-    UnrolledPatch,
     bfs_distance,
     gamma_norm_oracle,
     gauge_transform,
     parse_dgf,
     serialize_dgf,
     strongly_connected_components,
-    unroll,
 )
 from .intlattice import hermite_normal_form, lattice_rank_and_index
 # No library module solves LPs any more; the benchmark's per-layer metrics still name its functions.
@@ -94,7 +90,6 @@ __all__ = [
     "Polytope",
     "TrajectoryPlan",
     "UnreachableError",
-    "UnrolledPatch",
     "VeloError",
     "VERDICT_DISCONNECTED",
     "VERDICT_QUOTIENT",
@@ -106,7 +101,6 @@ __all__ = [
     "build_plan",
     "canonical_rotation",
     "connectivity_report",
-    "contains_point",
     "contains_polytope",
     "convergence_check",
     "convex_hull",
@@ -125,7 +119,6 @@ __all__ = [
     "parse_dgf",
     "path_displacement",
     "polytope_distance_inf",
-    "polytope_from_dict",
     "polytope_from_json",
     "polytope_svg",
     "polytope_to_dict",
@@ -135,7 +128,6 @@ __all__ = [
     "schedule_totals",
     "serialize_dgf",
     "strongly_connected_components",
-    "unroll",
     "velocity_polytope",
     "velocity_set",
 ]

@@ -372,13 +372,6 @@ def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
     return set(both.vertices) <= set(outer.vertices)
 
 
-def contains_point(p: Polytope, x: Sequence) -> bool:
-    """Exact membership of x in the polytope: containment of the one-point polytope {x}."""
-    if p.is_empty:
-        raise ValueError("membership in the empty polytope is undefined")
-    return contains_polytope(p, Polytope(p.dim, (as_qvec(x, p.dim),)))
-
-
 def satisfies_facets(p: Polytope, x: Sequence) -> bool | None:
     """Facet-side membership check; None when no facet representation exists."""
     if p.facets is None:
@@ -549,11 +542,12 @@ def polytope_to_dict(p: Polytope) -> dict:
     return out
 
 
-def polytope_from_dict(data: dict) -> Polytope:
+def polytope_from_json(text: str) -> Polytope:
     """Rebuild a polytope from its JSON form; vertices are the authoritative payload.
 
     Facets are recomputed rather than trusted, so the round trip is canonical.
     """
+    data = json.loads(text)  # outside the try: its error keeps its own message
     try:
         dim, rows = data["dim"], data["vertices"]
         # type(dim), not isinstance, which would take a JSON true for the integer 1
@@ -564,7 +558,3 @@ def polytope_from_dict(data: dict) -> Polytope:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polytope JSON: {exc}") from None
     return convex_hull(vertices, dim=dim)
-
-
-def polytope_from_json(text: str) -> Polytope:
-    return polytope_from_dict(json.loads(text))

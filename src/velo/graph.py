@@ -1,9 +1,10 @@
-"""Displacement graphs: parsing, structure, gauge moves, and unrolled windows.
+"""Displacement graphs: parsing, structure, gauge moves, and windowed BFS.
 
 A displacement graph is a finite directed multigraph whose edges carry
 integer displacement vectors of a fixed dimension.  Unrolling it over the
-integer lattice yields an infinite periodic graph; a finite window of that
-unrolling supports exact shortest-path measurements.
+integer lattice yields an infinite periodic graph.  ``bfs_distance`` measures
+exact shortest paths in the finite window of it given by the graph and a
+radius, and ``gamma_norm_oracle`` turns them into growth-norm samples.
 """
 from __future__ import annotations
 
@@ -349,57 +350,22 @@ def gauge_transform(
     return DisplacementGraph(g.dim, g.vertices, new_edges)
 
 
-@dataclass(frozen=True)
-class UnrolledPatch:
-    """Finite window of the periodic unrolling of a displacement graph.
-
-    Contains every node (v, x) with max-norm of x at most ``radius``; edges
-    whose translated target falls outside the window are omitted.  The patch
-    holds only the graph and the radius and never materialises a node or an
-    adjacency list: ``bfs_distance`` numbers the nodes in its own padded layout.
-    """
-
-    graph: DisplacementGraph
-    radius: int
-
-    @property
-    def window(self) -> int:
-        return 2 * self.radius + 1
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.graph.vertices) * self.window ** self.graph.dim
-
-    def contains(self, node: tuple[int, Sequence[int]]) -> bool:
-        v, coords = node
-        if not (0 <= v < len(self.graph.vertices)):
-            return False
-        if len(coords) != self.graph.dim:
-            return False
-        return all(-self.radius <= c <= self.radius for c in coords)
-
-
-def unroll(
-    g: DisplacementGraph, radius: int, *, budget: int = DEFAULT_PATCH_BUDGET
-) -> UnrolledPatch:
-    """Window of the periodic graph holding all nodes within the given max-norm radius."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    patch = UnrolledPatch(g, radius)
-    if (size := patch.vertex_count) > budget:
-        raise BudgetError(f"patch would contain {size} nodes, exceeding the budget of {budget}")
-    return patch
-
-
 def bfs_distance(
-    patch: UnrolledPatch,
+    g: DisplacementGraph,
+    radius: int,
     source: tuple[int, Sequence[int]],
     target: tuple[int, Sequence[int]],
+    *,
+    budget: int = DEFAULT_PATCH_BUDGET,
 ) -> int | None:
-    """Directed shortest-path edge count inside the patch; None when unreachable.
+    """Directed shortest-path edge count inside the window; None when unreachable.
 
-    Unreachable within a window is an upper-bound artifact: the full periodic
-    graph may still connect the two nodes outside the window.
+    The window is the finite part of the periodic graph that holds every
+    node (v, x) with max-norm of x at most ``radius``; an edge whose
+    translated target falls outside it is omitted.  Its node count
+    ``len(g.vertices) * (2 * radius + 1) ** g.dim`` must not exceed
+    ``budget``.  Unreachable within the window is an upper-bound artifact:
+    the full periodic graph may still connect the two nodes outside it.
 
     The search runs from both ends (Pohl 1971), one whole level of the smaller
     frontier at a time, over one byte of seen flags per node in its own
@@ -417,13 +383,17 @@ def bfs_distance(
     forward depth k and backward depth b was seen by both, so the distance
     exceeds k + b.  An empty frontier on either side means no path.
     """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    r, width, nv = radius, 2 * radius + 1, len(g.vertices)
+    if (size := nv * width ** g.dim) > budget:
+        raise BudgetError(f"patch would contain {size} nodes, exceeding the budget of {budget}")
     for endpoint in (source, target):
-        if not patch.contains(endpoint):
+        v, coords = endpoint
+        if not (0 <= v < nv and len(coords) == g.dim and all(-r <= c <= r for c in coords)):
             raise ValueError(f"endpoint {endpoint!r} is outside the patch")
-    g, r, width = patch.graph, patch.radius, patch.window
     edges = [e for e in g.edges if inf_norm(e.displacement) <= 2 * r]
     pads = [max((abs(e.displacement[j]) for e in edges), default=0) for j in range(g.dim)]
-    nv = len(g.vertices)
     # unseen nodes; each axis repeats the block so far width times between two
     # runs of padding seen by both sides, in one join that holds one window, not two
     seen, strides = bytearray(nv), []
@@ -497,10 +467,10 @@ def gamma_norm_oracle(
         raise ValueError("n must be >= 1")
     if len(strongly_connected_components(g)) != 1:
         raise NotStronglyConnectedError("growth-norm oracle requires a strongly connected quotient")
-    patch = unroll(g, n * (inf_norm(x) + g.max_displacement_norm + 1), budget=patch_budget)
+    radius = n * (inf_norm(x) + g.max_displacement_norm + 1)
     origin = (0, (0,) * g.dim)
     goal = (0, tuple(n * c for c in x))
-    dist = bfs_distance(patch, origin, goal)
+    dist = bfs_distance(g, radius, origin, goal, budget=patch_budget)
     if dist is None:
         raise UnreachableError(
             "target unreachable within the window: the radius is too small "

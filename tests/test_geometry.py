@@ -22,7 +22,6 @@ from velo import (
     Polytope,
     affine_dimension,
     anisotropy,
-    contains_point,
     contains_polytope,
     convex_hull,
     dimensionality,
@@ -237,10 +236,15 @@ def test_hull_matches_brute_force_oracles(pts):
 # membership and containment
 
 
+def _member(p, x):
+    """Membership of x in p as a one-point containment, the way check-morphism asks it."""
+    return contains_polytope(p, Polytope(p.dim, (x,)))
+
+
 def test_contains_point_hexagon(hexagon):
-    assert contains_point(hexagon, (F(0), F(0)))
-    assert contains_point(hexagon, (F(1, 2), F(1, 2)))  # a vertex
-    assert not contains_point(hexagon, (F(1), F(0)))
+    assert _member(hexagon, (F(0), F(0)))
+    assert _member(hexagon, (F(1, 2), F(1, 2)))  # a vertex
+    assert not _member(hexagon, (F(1), F(0)))
 
 
 def test_membership_routes_agree():
@@ -251,9 +255,9 @@ def test_membership_routes_agree():
         if p.facets is None:
             continue
         for q in random_rational_points(rng, d, 12, max_num=8, max_den=3):
-            by_lp = contains_point(p, q)
-            assert satisfies_facets(p, q) == by_lp
-            assert member_caratheodory(q, p.vertices) == by_lp
+            inside = _member(p, q)
+            assert satisfies_facets(p, q) == inside
+            assert member_caratheodory(q, p.vertices) == inside
 
 
 def test_contains_polytope(hexagon, cross):
@@ -271,11 +275,6 @@ def test_contains_polytope_empty_cases():
     assert not contains_polytope(empty, point)
     with pytest.raises(ValueError):
         contains_polytope(point, convex_hull([(F(0),)]))
-
-
-def test_contains_point_empty_rejected():
-    with pytest.raises(ValueError):
-        contains_point(convex_hull([], dim=1), (F(0),))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def test_gauge_properties(hexagon, cross):
             assert scaled == alpha * gx
             total = gauge_norm(p, tuple(a + b for a, b in zip(x, y)))
             assert total <= gx + gy
-            assert (gx <= 1) == contains_point(p, x)
+            assert (gx <= 1) == _member(p, x)
 
 
 def test_gauge_matches_caratheodory_oracle():
@@ -395,7 +394,7 @@ def polytope_queries(draw):
 def test_facet_queries_match_references(query):
     pts, x, inner_pts = query
     p, inner = convex_hull(pts), convex_hull(inner_pts)
-    assert contains_point(p, x) == member_caratheodory(x, p.vertices)
+    assert _member(p, x) == member_caratheodory(x, p.vertices)
     assert contains_polytope(p, inner) == all(member_caratheodory(v, p.vertices) for v in inner_pts)
     assert contains_polytope(inner, p) == all(member_caratheodory(v, inner.vertices) for v in pts)
     assert gauge_norm(p, x) == gauge_caratheodory(x, p.vertices)
@@ -563,6 +562,6 @@ def test_hull_and_membership_4d_cross_polytope():
     rng = random.Random(24)
     for _ in range(10):
         q = tuple(F(rng.randint(-3, 3), 2) for _ in range(4))
-        assert satisfies_facets(p, q) == contains_point(p, q)
-    assert contains_point(p, (F(1, 4),) * 4)
-    assert not contains_point(p, (F(1, 2),) * 4)
+        assert satisfies_facets(p, q) == _member(p, q)
+    assert _member(p, (F(1, 4),) * 4)
+    assert not _member(p, (F(1, 2),) * 4)

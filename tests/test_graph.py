@@ -23,7 +23,6 @@ from velo import (
     parse_dgf,
     serialize_dgf,
     strongly_connected_components,
-    unroll,
 )
 from velo.cycles import enumerate_cycles, path_displacement
 
@@ -294,84 +293,73 @@ def test_gauge_open_path_shift_formula():
 
 
 # ---------------------------------------------------------------------------
-# unrolled patches and BFS
+# windowed BFS
 
 
-def test_unroll_honeycomb_count(honeycomb):
-    patch = unroll(honeycomb, 1)
-    assert patch.vertex_count == 2 * 9
-
-
-def test_unroll_dim1_count():
-    g = parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 0")
-    assert unroll(g, 1).vertex_count == 2 * 3
+@pytest.mark.parametrize("dgf, size", [
+    (HONEYCOMB_DGF, 2 * 9),
+    ("dim 1\nvertex A\nvertex B\nedge A B 0", 2 * 3),
+], ids=["honeycomb", "dim1_pair"])
+def test_bfs_window_budget(dgf, size):
+    g = parse_dgf(dgf)
+    source, target = (0, (0,) * g.dim), (1, (0,) * g.dim)
+    assert bfs_distance(g, 1, source, target, budget=size) == 1
+    message = f"patch would contain {size} nodes, exceeding the budget of {size - 1}"
+    with pytest.raises(BudgetError) as exc:
+        bfs_distance(g, 1, source, target, budget=size - 1)
+    assert str(exc.value) == message
 
 
 def test_unroll_chain_edges():
     g = parse_dgf("dim 1\nvertex A\nedge A A 1")
-    patch = unroll(g, 2)
-    assert patch.vertex_count == 5
-    assert bfs_distance(patch, (0, (-2,)), (0, (2,))) == 4
+    assert bfs_distance(g, 2, (0, (-2,)), (0, (2,))) == 4
     # the edge out of x=2 leaves the window
-    assert [bfs_distance(patch, (0, (2,)), (0, (x,))) for x in range(-2, 2)] == [None] * 4
+    assert [bfs_distance(g, 2, (0, (2,)), (0, (x,))) for x in range(-2, 2)] == [None] * 4
 
 
-def test_unroll_budget():
-    g = parse_dgf("dim 1\nvertex A\nedge A A 1")
-    with pytest.raises(BudgetError) as exc:
-        unroll(g, 100, budget=10)
-    assert "10" in str(exc.value)
-
-
-def test_unroll_rejects_radius_zero(square):
+def test_bfs_rejects_radius_zero(square):
     with pytest.raises(ValueError, match="radius must be >= 1"):
-        unroll(square, 0)
+        bfs_distance(square, 0, (0, (0, 0)), (0, (0, 0)))
 
 
 def test_bfs_same_node(honeycomb):
-    patch = unroll(honeycomb, 2)
-    assert bfs_distance(patch, (0, (0, 0)), (0, (0, 0))) == 0
+    assert bfs_distance(honeycomb, 2, (0, (0, 0)), (0, (0, 0))) == 0
 
 
 def test_bfs_square_diagonal(square):
-    patch = unroll(square, 8)
-    assert bfs_distance(patch, (0, (0, 0)), (0, (3, 3))) == 6
+    assert bfs_distance(square, 8, (0, (0, 0)), (0, (3, 3))) == 6
 
 
 def test_bfs_honeycomb_direct_edge(honeycomb):
-    patch = unroll(honeycomb, 2)
-    assert bfs_distance(patch, (0, (0, 0)), (1, (0, 0))) == 1
+    assert bfs_distance(honeycomb, 2, (0, (0, 0)), (1, (0, 0))) == 1
 
 
 def test_bfs_endpoint_outside(honeycomb):
-    patch = unroll(honeycomb, 1)
     origin = (0, (0, 0))
     # past the radius, a vertex out of range, too few or too many coordinates
     for outside in ((0, (5, 0)), (2, (0, 0)), (-1, (0, 0)), (0, (0,)), (0, (0, 0, 0))):
         for source, target in ((origin, outside), (outside, origin)):
             with pytest.raises(ValueError, match="outside the patch"):
-                bfs_distance(patch, source, target)
+                bfs_distance(honeycomb, 1, source, target)
 
 
 def test_bfs_unreachable_in_window():
     g = parse_dgf("dim 1\nvertex A\nedge A A 1")  # forward-only chain
-    patch = unroll(g, 3)
-    assert bfs_distance(patch, (0, (0,)), (0, (-1,))) is None
+    assert bfs_distance(g, 3, (0, (0,)), (0, (-1,))) is None
 
 
 def test_bfs_triangle_inequality(square):
-    patch = unroll(square, 4)
     rng = random.Random(5)
     nodes = [(0, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(6)]
     for a in nodes:
         for b in nodes:
             for c in nodes:
-                ab = bfs_distance(patch, a, b)
-                bc = bfs_distance(patch, b, c)
-                ac = bfs_distance(patch, a, c)
+                ab = bfs_distance(square, 4, a, b)
+                bc = bfs_distance(square, 4, b, c)
+                ac = bfs_distance(square, 4, a, c)
                 if ab is not None and bc is not None and ac is not None:
                     assert ac <= ab + bc
-            assert (bfs_distance(patch, a, b) == 0) == (a == b)
+            assert (bfs_distance(square, 4, a, b) == 0) == (a == b)
 
 
 @st.composite
@@ -424,7 +412,7 @@ def _net(*edges):
 @example((_net((0, 1, 0), (1, 0, 4), (0, 0, -1), (0, 0, 1)), 2, (0, (-2,)), (0, (2,))))
 def test_bfs_matches_tuple_bfs(case):
     g, radius, source, target = case
-    assert bfs_distance(unroll(g, radius), source, target) == bfs_window(g, radius, source, target)
+    assert bfs_distance(g, radius, source, target) == bfs_window(g, radius, source, target)
 
 
 def test_bfs_memory_ignores_edges_that_leave_every_window():
@@ -433,10 +421,9 @@ def test_bfs_memory_ignores_edges_that_leave_every_window():
         "dim 3\nvertex A\nedge A A 1000 1000 0\n"
         "edge A A 1 0 0\nedge A A 0 1 0\nedge A A 0 0 1\nedge A A -1 -1 -1\n"
     )
-    patch = unroll(g, 1)
     tracemalloc.start()
     try:
-        dist = bfs_distance(patch, (0, (-1, -1, -1)), (0, (1, 1, 1)))
+        dist = bfs_distance(g, 1, (0, (-1, -1, -1)), (0, (1, 1, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -503,15 +490,22 @@ def test_oracle_subadditive_across_n(square, honeycomb):
     # d(v, v+(a+b)x) <= d(v, v+ax) + d(v+ax, v+(a+b)x) on one shared window
     for g, x in ((square, (1, 1)), (honeycomb, (1, 0))):
         a, b = 2, 3
-        patch = unroll(g, 24)
         base = (0, (0,) * 2)
         mid = (0, tuple(a * c for c in x))
         end = (0, tuple((a + b) * c for c in x))
-        whole = bfs_distance(patch, base, end)
-        first = bfs_distance(patch, base, mid)
-        second = bfs_distance(patch, mid, end)
+        whole = bfs_distance(g, 24, base, end)
+        first = bfs_distance(g, 24, base, mid)
+        second = bfs_distance(g, 24, mid, end)
         assert whole is not None and first is not None and second is not None
         assert whole <= first + second
+
+
+def test_oracle_patch_budget(honeycomb):
+    # radius 1 * (1 + 1 + 1) = 3: a window of 2 * 7**2 = 98 nodes
+    assert gamma_norm_oracle(honeycomb, (1, 0), 1, patch_budget=98) == 2
+    with pytest.raises(BudgetError) as exc:
+        gamma_norm_oracle(honeycomb, (1, 0), 1, patch_budget=97)
+    assert str(exc.value) == "patch would contain 98 nodes, exceeding the budget of 97"
 
 
 def test_oracle_exact_rational(square):

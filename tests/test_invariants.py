@@ -37,7 +37,6 @@ from velo import (
     origin_in_hull_interior,
     parse_dgf,
     strongly_connected_components,
-    unroll,
     velocity_polytope,
     velocity_set,
 )
@@ -171,13 +170,12 @@ def test_connectivity_verdict_matches_reachability_oracle():
         g = random_strongly_connected_graph(rng, max_vertices=3, max_dim=2, max_disp=1)
         rep = connectivity_report(g)
         assert rep.scc_count == 1
-        patch = unroll(g, 15)
         origin = (0, (0,) * g.dim)
         reach_all = True
         for axis in range(g.dim):
             for sign in (1, -1):
                 target = tuple(sign if i == axis else 0 for i in range(g.dim))
-                if bfs_distance(patch, origin, (0, target)) is None:
+                if bfs_distance(g, 15, origin, (0, target)) is None:
                     reach_all = False
         assert (rep.verdict == VERDICT_STRONG) == reach_all
 
