@@ -350,6 +350,49 @@ def gauge_transform(
     return DisplacementGraph(g.dim, g.vertices, new_edges)
 
 
+def _window(nv: int, width: int, pads: Sequence[int]) -> tuple[bytearray, list[int]]:
+    """``bfs_distance``'s unseen window and each axis's id stride: each axis repeats the
+    block so far width times between two runs of padding, in one join, so one window."""
+    seen, strides = bytearray(nv), []
+    for pad in pads:
+        strides.append(len(seen))
+        side = b"\x03" * (len(seen) * pad)
+        seen = bytearray().join([side, *[seen] * width, side])
+    return seen, strides
+
+
+def _one_sided(
+    seen: bytearray, moves: list[set[int]], src: int, delta: int, levels: int
+) -> int | None:
+    """``bfs_distance``'s mirrored search from ``src`` to ``src + delta``; -1 when
+    ``levels`` levels do not decide it.  Level k marks its nodes 2 - k % 2."""
+    frontier: list[list[int]] = [[] for _ in moves]
+    frontier[src % len(moves)].append(src)
+    seen[src] = 2
+    for k in range(1, levels + 1):
+        mark, last, even = 2 - k % 2, 1 + k % 2, False
+        nxt: list[list[int]] = [[] for _ in moves]
+        for v, ids in enumerate(frontier):
+            for off in moves[v]:
+                out = nxt[(v + off) % len(moves)]
+                for nid in ids:
+                    t = nid + off
+                    if not seen[t]:
+                        seen[t] = mark
+                        out.append(t)
+                        # partners are never padding: p is mark, last or both
+                        if p := seen[t - delta] | seen[t + delta]:
+                            if p & last:
+                                return 2 * k - 1
+                            even = True
+        if even:
+            return 2 * k
+        if not any(nxt):
+            return None
+        frontier = nxt
+    return -1
+
+
 def bfs_distance(
     g: DisplacementGraph,
     radius: int,
@@ -382,6 +425,18 @@ def bfs_distance(
     distance, the sum of both depths: before that level no node within
     forward depth k and backward depth b was seen by both, so the distance
     exceeds k + b.  An empty frontier on either side means no path.
+
+    Only the source's side runs when (a) both endpoints sit on one vertex
+    and (b) each vertex's forward moves are its backward ones: then
+    d(a, b) = d(b, a), and by translation the target's backward ball is the
+    source's ball shifted by delta = t - s.  While (c)
+    k * pad_j + max(|s_j|, |t_j|, |2 s_j - t_j|) <= radius on every axis j
+    at the level k expanded, no ball it reads (of s, t or s - delta) is
+    clipped.  A new node whose partner at -delta or +delta bears the last
+    level's parity mark gives 2k - 1, and this level's 2k once the level is
+    done; a partner from an older level would be a walk shorter than a level
+    already ruled out.  If (c) fails first, the window is dropped and both
+    sides run on a new one.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -394,13 +449,7 @@ def bfs_distance(
             raise ValueError(f"endpoint {endpoint!r} is outside the patch")
     edges = [e for e in g.edges if inf_norm(e.displacement) <= 2 * r]
     pads = [max((abs(e.displacement[j]) for e in edges), default=0) for j in range(g.dim)]
-    # unseen nodes; each axis repeats the block so far width times between two
-    # runs of padding seen by both sides, in one join that holds one window, not two
-    seen, strides = bytearray(nv), []
-    for pad in pads:
-        strides.append(len(seen))
-        side = b"\x03" * (len(seen) * pad)
-        seen = bytearray().join([side, *[seen] * width, side])
+    seen, strides = _window(nv, width, pads)
 
     def node(v: int, coords: Sequence[int]) -> int:
         return v + sum(s * (c + r + p) for s, c, p in zip(strides, coords, pads))
@@ -415,6 +464,15 @@ def bfs_distance(
         off = e.target - e.source + sum(map(mul, strides, e.displacement))
         moves[0][e.source].add(off)
         moves[1][e.target].add(-off)
+    if source[0] == target[0] and moves[0] == moves[1]:
+        slack = [r - max(abs(a), abs(b), abs(2 * a - b)) for a, b in zip(source[1], target[1])]
+        levels = min((s // p for s, p in zip(slack, pads) if p), default=size)
+        if min(slack) < 0:  # on an axis no edge moves along
+            levels = 0
+        if (dist := _one_sided(seen, moves[0], src, dst - src, levels)) != -1:
+            return dist
+        del seen  # hold one window at a time
+        seen = _window(nv, width, pads)[0]
     seen[src], seen[dst] = 1, 2
     # one frontier list per quotient vertex, so each move runs over a whole list
     frontiers: list[list[list[int]]] = [[[] for _ in range(nv)] for _ in range(2)]

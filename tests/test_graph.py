@@ -5,10 +5,18 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DIAMOND_DGF, HONEYCOMB_DGF, random_gauge, random_graph, random_walk
+from helpers import (
+    CUBIC_DGF,
+    DIAMOND_DGF,
+    HONEYCOMB_DGF,
+    SQUARE_DGF,
+    random_gauge,
+    random_graph,
+    random_walk,
+)
 from oracles import bfs_window, reference_dgf
 from velo import (
     BudgetError,
@@ -415,6 +423,53 @@ def test_bfs_matches_tuple_bfs(case):
     assert bfs_distance(g, radius, source, target) == bfs_window(g, radius, source, target)
 
 
+@st.composite
+def mirrored_windows(draw):
+    """A graph with at most 3 vertices in d = 1..2 whose edges come each with its
+    reverse, a window radius of 1..6, a source within half the radius of the
+    centre and a target on the source's vertex.
+
+    Such pairs take the one-sided search of ``bfs_distance``, and a target far
+    enough out runs past its bound and falls back to the two-sided search.
+    """
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    radius = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    arc = st.tuples(vertex, vertex, st.tuples(*[st.integers(-3, 3)] * dim))
+    edges = tuple(e for s, t, d in draw(st.lists(arc, max_size=4))
+                  for e in (Edge(s, t, d), Edge(t, s, tuple(-c for c in d))))
+    g = DisplacementGraph(dim, tuple(f"v{i}" for i in range(n)), edges)
+    v, half = draw(vertex), radius // 2
+    source = (v, draw(st.tuples(*[st.integers(-half, half)] * dim)))
+    return g, radius, source, (v, draw(st.tuples(*[st.integers(-radius, radius)] * dim)))
+
+
+def _mirrored(*edges):
+    """``_net`` with the reverse of each edge added."""
+    return _net(*[e for s, t, d in edges for e in ((s, t, d), (t, s, -d))])
+
+
+@settings(max_examples=400)
+@given(mirrored_windows())
+@example((_loops((1,), (-1,)), 6, (0, (0,)), (0, (3,))))  # odd: level 2 meets level 1, 3
+@example((_loops((1,), (-1,)), 8, (0, (0,)), (0, (4,))))  # even: two level-2 nodes meet, 4
+# each level-2 node with a partner from level 1 has one from level 2 too: 3, not 4
+@example((_loops((0, 1), (0, -1), (2, 0), (-2, 0), (1, 2), (-1, -2)), 6, (0, (0, 0)), (0, (1, 0))))
+# level 2 reaches (1, 2), then (1, 0), whose partner at +delta is (1, 2): 4, met through +delta alone
+@example((_mirrored((0, 1, 1), (1, 1, -1)), 5, (0, (0,)), (0, (2,))))
+# the bound allows one level of the three needed, then the two-sided search on a fresh window
+@example((_loops((1,), (-1,)), 4, (0, (0,)), (0, (3,))))
+# the bound fails at once: 2 * 2 - (-2) = 6 > 2 on the axis no edge moves along
+@example((_loops((1, 0), (-1, 0)), 2, (0, (0, 2)), (0, (0, -2))))
+@example((_pair((0,), (0,)), 1, (0, (0,)), (0, (1,))))  # the ball empties: unreachable
+# on two vertices delta is no translation, so only the two-sided search answers: 2, not 1
+@example((_mirrored((0, 0, 1), (0, 1, -1)), 1, (0, (0,)), (1, (0,))))
+def test_bfs_on_mirrored_graphs_matches_tuple_bfs(case):
+    g, radius, source, target = case
+    assert bfs_distance(g, radius, source, target) == bfs_window(g, radius, source, target)
+
+
 def test_bfs_memory_ignores_edges_that_leave_every_window():
     # padding the window for the (1000, 1000, 0) edge would take 2003 * 2003 * 3 bytes
     g = parse_dgf(
@@ -483,6 +538,43 @@ def test_oracle_holds_one_window_at_a_time():
     finally:
         tracemalloc.stop()
     assert value == 4
+    assert peak < 1.3 * window
+
+
+# the walks benchmark's largest n per base cell; the bound k * pad + |t| <= radius
+# holds at the meeting level: sq 3.5n <= 4n, hc 4n <= 4n, cub 2n <= 3n, dia 3n <= 3n
+@pytest.mark.parametrize("text, x, n, value", [
+    (SQUARE_DGF, (2, 1), 64, 3),
+    (HONEYCOMB_DGF, (2, 1), 64, 4),
+    (CUBIC_DGF, (1, 1, 0), 12, 2),
+    (DIAMOND_DGF, (1, 1, 0), 12, 4),
+], ids=["sq", "hc", "cub", "dia"])
+def test_oracle_on_base_cells_grows_one_ball(text, x, n, value, monkeypatch):
+    import velo.graph
+
+    original, made = velo.graph._one_sided, []
+
+    def recording(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(velo.graph, "_one_sided", recording)
+    assert gamma_norm_oracle(parse_dgf(text), x, n) == value
+    assert made == [value * n]
+
+
+def test_fallback_holds_one_window_at_a_time():
+    # the bound 9 * 1 + |2 * 9 - (-9)| <= 36 allows 9 levels of the 18 needed for
+    # d = 36; the two-sided search then builds its window after dropping the first
+    g = parse_dgf(DIAMOND_DGF)
+    window = 2 * 75**3
+    tracemalloc.start()
+    try:
+        dist = bfs_distance(g, 36, (0, (9, 0, 0)), (0, (-9, 0, 0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist == 36
     assert peak < 1.3 * window
 
 
