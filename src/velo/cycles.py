@@ -174,26 +174,22 @@ def unfolded_cycles(
         yield (*flat[k:], *flat[:k])
 
 
-def enumerate_cycles(
-    g: DisplacementGraph, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> tuple[Path, ...]:
+def enumerate_cycles(g: DisplacementGraph) -> tuple[Path, ...]:
     """All simple cycles, one canonical rotation each, sorted lexicographically.
 
     Self-loops are length-1 cycles and parallel edges yield distinct cycles.
-    They stream from the graph's chain fold against ``max_cycles``; exceeding
-    it raises BudgetError and no partial result is returned.
+    They stream from the graph's chain fold against the default cycle budget;
+    exceeding it raises BudgetError and no partial result is returned.
     """
-    return tuple(unfolded_cycles(g, g._contraction, max_cycles))
+    return tuple(unfolded_cycles(g, g._contraction, DEFAULT_MAX_CYCLES))
 
 
-def basic_velocities(
-    g: DisplacementGraph, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> tuple[tuple[Fraction, ...], ...]:
+def basic_velocities(g: DisplacementGraph) -> tuple[tuple[Fraction, ...], ...]:
     """Deduplicated displacement-per-step vectors of all simple cycles, sorted:
     ``GraphAnalysis.velocities``, the routine ``velo report`` prints."""
     from .invariants import GraphAnalysis  # velo.invariants imports this module
 
-    return GraphAnalysis(g, max_cycles=max_cycles).velocities
+    return GraphAnalysis(g).velocities
 
 
 def max_ratio_cycle(

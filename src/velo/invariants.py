@@ -288,25 +288,20 @@ class GraphAnalysis:
         )
 
 
-def connectivity_report(
-    g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET
-) -> ConnectivityReport:
-    return GraphAnalysis(g, oracle_budget=budget).report
+def connectivity_report(g: DisplacementGraph) -> ConnectivityReport:
+    return GraphAnalysis(g).report
 
 
-def velocity_polytope(g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET) -> Polytope:
+def velocity_polytope(g: DisplacementGraph) -> Polytope:
     """Convex hull of the basic velocities of a strongly connected quotient.
 
     A graph without cycles yields the empty polytope: no infinite trajectory
-    exists at all, so there is no velocity to speak of.  ``budget`` bounds the
-    support oracle's relaxations.
+    exists at all, so there is no velocity to speak of.
     """
-    return GraphAnalysis(g, oracle_budget=budget).polytope
+    return GraphAnalysis(g).polytope
 
 
-def velocity_set(
-    g: DisplacementGraph, *, budget: int = DEFAULT_ORACLE_BUDGET
-) -> tuple[tuple[int, Polytope], ...]:
+def velocity_set(g: DisplacementGraph) -> tuple[tuple[int, Polytope], ...]:
     """(component id, velocity polytope) per strongly connected component with a
     cycle, as ``GraphAnalysis.components``; their union is the full velocity set."""
-    return GraphAnalysis(g, oracle_budget=budget).components
+    return GraphAnalysis(g).components

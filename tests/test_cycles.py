@@ -13,6 +13,7 @@ from velo import (
     BudgetError,
     DisplacementGraph,
     Edge,
+    GraphAnalysis,
     basic_velocities,
     canonical_rotation,
     decompose_path,
@@ -173,9 +174,9 @@ def test_enumerated_cycles_are_valid(honeycomb):
 
 def test_cycle_budget(honeycomb):
     with pytest.raises(BudgetError) as exc:
-        enumerate_cycles(honeycomb, max_cycles=5)
+        GraphAnalysis(honeycomb, max_cycles=5).cycles
     assert "5" in str(exc.value)
-    assert len(enumerate_cycles(honeycomb, max_cycles=9)) == 9
+    assert len(GraphAnalysis(honeycomb, max_cycles=9).cycles) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import random_gauge, random_strongly_connected_graph, random_walk
@@ -22,6 +22,7 @@ from velo import (
     gauge_transform,
     parse_dgf,
     path_displacement,
+    polytope_distance_inf,
     schedule,
     schedule_totals,
     velocity_polytope,
@@ -205,14 +206,19 @@ def _budget_error(fn, *args, **kwargs) -> str:
     return str(exc.value)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
-def test_schedule_totals_match_the_walk(seed, k_max):
-    rng = random.Random(seed)
+def _random_plan(rng):
+    """A strongly connected random graph and a plan of 1-3 of its cycles with random weights."""
     g = random_strongly_connected_graph(rng)
     cycles = enumerate_cycles(g)
     chosen = rng.sample(cycles, rng.randint(1, min(3, len(cycles))))
     parts = [rng.randint(1, 6) for _ in chosen]
-    plan = build_plan(g, [(c, F(p, sum(parts))) for c, p in zip(chosen, parts)])
+    return g, build_plan(g, [(c, F(p, sum(parts))) for c, p in zip(chosen, parts)])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_schedule_totals_match_the_walk(seed, k_max):
+    rng = random.Random(seed)
+    g, plan = _random_plan(rng)
     prefix = schedule(plan, k_max)
     n = len(prefix)
     assert schedule_totals(g, plan, k_max) == (n, path_displacement(g, prefix))
@@ -222,6 +228,19 @@ def test_schedule_totals_match_the_walk(seed, k_max):
             assert _budget_error(schedule_totals, g, plan, k_max, budget=budget) == _budget_error(
                 schedule, plan, k_max, budget=budget
             )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_scheduled_velocity_lies_in_the_polytope(seed, k_max):
+    # each stage is a closed walk (its cycles, each followed by the connector
+    # to the next cycle's base, the last back to the first), so the prefix
+    # splits into simple cycles and its velocity, a mixture of theirs, is in
+    # P; on a flat P (about 40% of these graphs) this takes the hull branch
+    g, plan = _random_plan(random.Random(seed))
+    steps, displacement = schedule_totals(g, plan, k_max)
+    assume(steps)
+    velocity = tuple(F(c, steps) for c in displacement)
+    assert polytope_distance_inf(velocity_polytope(g), velocity) == 0
 
 
 def test_schedule_totals_empty_walk():
