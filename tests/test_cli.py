@@ -8,8 +8,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from helpers import DIAMOND_DGF, HONEYCOMB_DGF, random_graph, subdivide
+from helpers import (
+    DIAMOND_DGF,
+    HONEYCOMB_DGF,
+    random_graph,
+    random_strongly_connected_graph,
+    subdivide,
+)
 from velo import (
     DisplacementGraph,
     convex_hull,
@@ -23,7 +31,7 @@ from velo import (
     velocity_polytope,
 )
 from velo.cli import main
-from velo.geometry import format_rational
+from velo.geometry import format_rational, polytope_distance_inf
 from velo.graph import contract_chains
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -292,27 +300,99 @@ def test_simulate_reads_only_the_cycles_it_needs(tmp_path, capsys, monkeypatch):
     assert out.startswith("target " + " ".join(map(format_rational, mean)) + "\n")
 
 
-def test_simulate_reads_polytope_gap_off_the_facets(tmp_path, capsys, monkeypatch):
-    import velo.geometry
+FLAT_DGF = "dim 2\nvertex A\nvertex B\nedge A A 1 0\nedge A B 0 0\nedge B A -1 0\n"
 
+
+def test_simulate_builds_no_polytope(tmp_path, capsys, monkeypatch):
+    import velo.geometry
+    import velo.invariants
+
+    original_hull, hulls = velo.geometry.convex_hull, []
+    original_oracle, queries = velo.invariants.max_ratio_cycle, []
+
+    def counting_hull(points, **kwargs):
+        hulls.append(points)
+        return original_hull(points, **kwargs)
+
+    def counting_oracle(*args):
+        queries.append(args)
+        return original_oracle(*args)
+
+    monkeypatch.setattr(velo.geometry, "convex_hull", counting_hull)
+    monkeypatch.setattr(velo.invariants, "max_ratio_cycle", counting_oracle)
     path = tmp_path / "dia.dgf"
     path.write_text(DIAMOND_DGF)
-    original, hulls = velo.geometry.convex_hull, []
-
-    def counting(points, **kwargs):
-        hulls.append(points)
-        return original(points, **kwargs)
-
-    monkeypatch.setattr(velo.geometry, "convex_hull", counting)
     assert run_cli(["simulate", str(path), "--weights", "2/3,1/3", "--kmax", "24"], capsys) == (
         0,
         "target -1/6 0 0\nsteps 4452\nvelocity -115/742 0 0\ntarget_gap 13/1113\npolytope_gap 0\n",
         "",
     )
-    assert hulls == []  # the velocity satisfies every facet of P, so no P + [-1, 1]^3
+    # the walks base cells and a flat P: polytope_gap is proved, not measured
+    texts = {name: nets.dgf_text(base) for name, base in nets.BASE.items()}
+    for name, text in {**texts, "flat": FLAT_DGF}.items():
+        (tmp_path / f"{name}.dgf").write_text(text)
+        args = ["simulate", str(tmp_path / f"{name}.dgf"), "--weights", "1/2,1/2", "--kmax", "16"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, err, out.endswith("\npolytope_gap 0\n")) == (0, "", True), name
+    assert (hulls, queries) == ([], [])  # no support query and no hull
     poly = velocity_polytope(parse_dgf(DIAMOND_DGF))
+    assert queries  # the spy is live: P itself is built from support queries
     assert velo.geometry.polytope_distance_inf(poly, (1, 0, 0)) == F(1, 2)
     assert len(hulls) == 1 and len(hulls[0]) == 8 * len(poly.vertices)  # outside P it is built
+
+
+@pytest.mark.parametrize("budget", [2, 3, 5, 8, 12, 20, 40])
+def test_simulate_reads_no_oracle_budget(tmp_path, budget, capsys, monkeypatch):
+    # simulate reads the cycle and scheduled-edge budgets only: below 40 a
+    # support query on dia 2x2x1 exceeds the oracle budget, as polytope shows
+    path = tmp_path / "dia_2x2x1.dgf"
+    path.write_text(nets.dgf_text(nets.supercell(nets.BASE["dia"], (2, 2, 1))))
+    monkeypatch.setenv("VELO_BUDGET", str(budget))
+    args = ["simulate", str(path), "--weights", "1", "--kmax", "2"]
+    if budget < 4:  # the walk has 4 edges
+        expected = (2, "", f"error: scheduled prefix would exceed the budget of {budget} edges at stage 2\n")
+    else:
+        expected = (0, "target 0 0 0\nsteps 4\nvelocity 0 0 0\ntarget_gap 0\npolytope_gap 0\n", "")
+    assert run_cli(args, capsys) == expected
+    code, _, err = run_cli(["polytope", str(path)], capsys)
+    assert (code, err.startswith(f"error: oracle budget of {budget} ")) == (
+        (0, False) if budget == 40 else (2, True)
+    )
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), k_max=st.integers(1, 12))
+@example(seed=11, k_max=6)  # P is a segment in the plane
+@example(seed=16, k_max=6)
+def test_simulate_velocity_lies_in_the_polytope(tmp_path, capsys, seed, k_max):
+    # the polytope_gap 0 that simulate prints without building P, checked against P
+    rng = random.Random(seed)
+    g = random_strongly_connected_graph(rng)
+    count = len(enumerate_cycles(g))
+    picks = rng.sample(range(count), rng.randint(1, min(3, count)))
+    parts = [rng.randint(1, 6) for _ in picks]
+    path = tmp_path / "g.dgf"
+    path.write_text(serialize_dgf(g))
+    code, out, err = run_cli([
+        "simulate", str(path), "--kmax", str(k_max),
+        "--weights", ",".join(format_rational(F(p, sum(parts))) for p in parts),
+        "--cycles", ",".join(map(str, picks)),
+    ], capsys)
+    assume(err != "error: scheduled prefix is empty; increase --kmax\n")
+    assert (code, err) == (0, "")
+    printed = dict(line.split(" ", 1) for line in out.splitlines())
+    velocity = tuple(F(c) for c in printed["velocity"].split())
+    assert printed["polytope_gap"] == "0"
+    assert polytope_distance_inf(velocity_polytope(g), velocity) == 0
+
+
+def test_simulate_on_a_split_quotient_is_a_verdict_failure(tmp_path, capsys):
+    # A and B each carry a loop, and nothing leads back from B to A
+    path = tmp_path / "split.dgf"
+    path.write_text("dim 1\nvertex A\nvertex B\nedge A A 1\nedge A B 0\nedge B B -1\n")
+    assert run_cli(["simulate", str(path), "--weights", "1/2,1/2", "--kmax", "8"], capsys) == (
+        3, "", "error: trajectory plans require a strongly connected quotient\n"
+    )
 
 
 # ---------------------------------------------------------------------------
