@@ -8,6 +8,7 @@ radius, and ``gamma_norm_oracle`` turns them into growth-norm samples.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -41,9 +42,10 @@ _edge = partial(tuple.__new__, Edge)
 class DisplacementGraph:
     """Finite directed multigraph with an integer displacement per edge.
 
-    Vertices are addressed by index; names are kept for I/O.  Parallel edges
-    and self-loops are permitted and stay distinct (an edge's identity is its
-    index in ``edges``).  Instances are immutable and safe to share.
+    Vertices are addressed by index; names, ASCII identifiers as in DGF, are
+    kept for I/O.  Parallel edges and self-loops are permitted and stay
+    distinct (an edge's identity is its index in ``edges``).  Instances are
+    immutable and safe to share.
     """
 
     dim: int
@@ -57,6 +59,9 @@ class DisplacementGraph:
             raise ValueError("graph must declare at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertex names must be unique")
+        for name in self.vertices:  # the parser's rule, so serialize_dgf's text parses
+            if not (name.isascii() and name.isidentifier()):
+                raise ValueError(f"invalid vertex name {name!r}")
         n, dim = len(self.vertices), self.dim
         for i, (source, target, disp) in enumerate(self.edges):
             if not (0 <= source < n and 0 <= target < n):
@@ -122,6 +127,25 @@ class DisplacementGraph:
         return max((inf_norm(e.displacement) for e in self.edges), default=0)
 
 
+def _graph(dim: int, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> DisplacementGraph:
+    """A graph from a builder that holds every invariant ``__post_init__`` checks, unchecked."""
+    g = object.__new__(DisplacementGraph)
+    g.__dict__.update(dim=dim, vertices=vertices, edges=edges)
+    return g
+
+
+class _GcPaused:
+    """Pause cyclic GC while a builder allocates; restore the caller's state, also on a raise."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 def parse_dgf(text: str | bytes) -> DisplacementGraph:
     """Parse the line-oriented DGF format.
 
@@ -145,61 +169,62 @@ def parse_dgf(text: str | bytes) -> DisplacementGraph:
     index: dict[str, int] = {}  # in declaration order, so its keys are the names
     edges: list[Edge] = []
     parsed: dict[str, IntVec] = {}  # each displacement spelling, parsed once and shared
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split(None, 3)  # an edge's displacement text stays whole
-        if not parts:
-            continue
-        keyword = parts[0]
-        if keyword == "dim":
-            if dim is not None:
-                raise DgfError("duplicate dim declaration", lineno)
-            if len(parts) != 2:
-                raise DgfError("expected exactly one value after 'dim'", lineno)
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                raise DgfError(f"invalid dimension {parts[1]!r}", lineno) from None
-            if dim < 1:
-                raise DgfError("dimension must be >= 1", lineno)
-        elif keyword == "vertex":
-            if dim is None:
-                raise DgfError("'vertex' before 'dim'", lineno)
-            if len(parts) != 2:
-                raise DgfError("expected exactly one name after 'vertex'", lineno)
-            name = parts[1]
-            if not (name.isascii() and name.isidentifier()):
-                raise DgfError(f"invalid vertex name {name!r}", lineno)
-            if name in index:
-                raise DgfError(f"duplicate vertex name {name!r}", lineno)
-            index[name] = len(index)
-        elif keyword == "edge":
-            try:
-                edges.append(_edge((index[parts[1]], index[parts[2]], parsed[parts[3]])))
+    with _GcPaused():
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split(None, 3)  # an edge's displacement text stays whole
+            if not parts:
                 continue
-            except LookupError:  # a new spelling or a bad line: check it in order
-                pass
-            if dim is None:
-                raise DgfError("'edge' before 'dim'", lineno)
-            entries = parts[3].split() if len(parts) == 4 else []
-            if len(entries) != dim:
-                raise DgfError(
-                    f"expected 'edge SRC DST' followed by {dim} displacement entries", lineno
-                )
-            for endpoint in parts[1:3]:
-                if endpoint not in index:
-                    raise DgfError(f"undeclared vertex {endpoint!r}", lineno)
-            try:
-                parsed[parts[3]] = tuple(map(int, entries))
-            except ValueError:
-                raise DgfError("displacement entries must be integers", lineno) from None
-            edges.append(_edge((index[parts[1]], index[parts[2]], parsed[parts[3]])))
-        else:
-            raise DgfError(f"unknown directive {keyword!r}", lineno)
+            keyword = parts[0]
+            if keyword == "edge":  # the keywords exclude each other, so the most common goes first
+                try:
+                    edges.append(_edge((index[parts[1]], index[parts[2]], parsed[parts[3]])))
+                    continue
+                except LookupError:  # a new spelling or a bad line: check it in order
+                    pass
+                if dim is None:
+                    raise DgfError("'edge' before 'dim'", lineno)
+                entries = parts[3].split() if len(parts) == 4 else []
+                if len(entries) != dim:
+                    raise DgfError(
+                        f"expected 'edge SRC DST' followed by {dim} displacement entries", lineno
+                    )
+                for endpoint in parts[1:3]:
+                    if endpoint not in index:
+                        raise DgfError(f"undeclared vertex {endpoint!r}", lineno)
+                try:
+                    parsed[parts[3]] = tuple(map(int, entries))
+                except ValueError:
+                    raise DgfError("displacement entries must be integers", lineno) from None
+                edges.append(_edge((index[parts[1]], index[parts[2]], parsed[parts[3]])))
+            elif keyword == "vertex":
+                if dim is None:
+                    raise DgfError("'vertex' before 'dim'", lineno)
+                if len(parts) != 2:
+                    raise DgfError("expected exactly one name after 'vertex'", lineno)
+                name = parts[1]
+                if not (name.isascii() and name.isidentifier()):
+                    raise DgfError(f"invalid vertex name {name!r}", lineno)
+                if name in index:
+                    raise DgfError(f"duplicate vertex name {name!r}", lineno)
+                index[name] = len(index)
+            elif keyword == "dim":
+                if dim is not None:
+                    raise DgfError("duplicate dim declaration", lineno)
+                if len(parts) != 2:
+                    raise DgfError("expected exactly one value after 'dim'", lineno)
+                try:
+                    dim = int(parts[1])
+                except ValueError:
+                    raise DgfError(f"invalid dimension {parts[1]!r}", lineno) from None
+                if dim < 1:
+                    raise DgfError("dimension must be >= 1", lineno)
+            else:
+                raise DgfError(f"unknown directive {keyword!r}", lineno)
     if dim is None:
         raise DgfError("missing dim declaration")
     if not index:
         raise DgfError("graph declares no vertices")
-    return DisplacementGraph(dim, tuple(index), tuple(edges))
+    return _graph(dim, tuple(index), tuple(edges))
 
 
 def serialize_dgf(g: DisplacementGraph) -> str:
@@ -310,12 +335,13 @@ def contract_chains(g: DisplacementGraph) -> Contraction | None:
             walk(out_edge[v])
     index = {v: i for i, v in enumerate(v for v in range(n) if kept[v])}
     disps = [e.displacement for e in edges]
-    folded = tuple(
-        Edge(index[edges[p[0]].source], index[edges[p[-1]].target],
-             tuple(map(sum, zip(*[disps[eid] for eid in p]))))
-        for p in walked
-    )
-    graph = DisplacementGraph(g.dim, tuple(g.vertices[v] for v in index), folded)
+    with _GcPaused():
+        folded = tuple(
+            Edge(index[edges[p[0]].source], index[edges[p[-1]].target],
+                 tuple(map(sum, zip(*[disps[eid] for eid in p]))))
+            for p in walked
+        )
+    graph = _graph(g.dim, tuple(g.vertices[v] for v in index), folded)
     graph.__dict__["_contraction"] = None  # the core has no chain vertex left to fold
     return Contraction(graph, tuple(index), tuple(walked))
 

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 from .errors import BudgetError
 from .geometry import Polytope
-from .graph import DisplacementGraph, _edge
+from .graph import DisplacementGraph, _GcPaused, _edge, _graph
 
 DEFAULT_REALIZE_BUDGET = 5_000_000
 
@@ -39,4 +39,5 @@ def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> Displacemen
     vertices = tuple(map("u{}".format, range(1, scale + 1)))
     ring = zip(range(scale - 1), range(1, scale), repeat((0,) * p.dim))  # one shared zero
     closing = ((scale - 1, 0, tuple(int(scale * c) for c in w)) for w in p.vertices)
-    return DisplacementGraph(p.dim, vertices, tuple(map(_edge, chain(ring, closing))))
+    with _GcPaused():
+        return _graph(p.dim, vertices, tuple(map(_edge, chain(ring, closing))))

@@ -120,6 +120,7 @@ def test_components_are_mutually_reachable_classes(g):
     assert_component_table(g)
     c = contract_chains(g)
     if c is not None:  # the fold folds no further, so its own components need no second fold
+        assert DisplacementGraph(c.graph.dim, c.graph.vertices, c.graph.edges) == c.graph
         assert contract_chains(c.graph) is None
         assert strongly_connected_components(c.graph) == brute_sccs(c.graph)
         assert_component_table(c.graph)

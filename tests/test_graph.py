@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -26,13 +28,16 @@ from velo import (
     NotStronglyConnectedError,
     UnreachableError,
     bfs_distance,
+    convex_hull,
     gamma_norm_oracle,
     gauge_transform,
     parse_dgf,
+    realize,
     serialize_dgf,
     strongly_connected_components,
 )
 from velo.cycles import enumerate_cycles, path_displacement
+from velo.graph import contract_chains
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,7 @@ def test_parse_dgf_matches_the_reference_parser(text):
     if expected[0] == "graph":
         g = parse_dgf(text)
         assert ("graph", g.dim, g.vertices, list(g.edges)) == expected
+        assert DisplacementGraph(g.dim, g.vertices, g.edges) == g  # parse_dgf skips its checks
         return
     _, message, line = expected
     with pytest.raises(DgfError) as exc:
@@ -206,6 +212,40 @@ def test_graph_validation():
         DisplacementGraph(0, ("A",), ())
     with pytest.raises(ValueError, match="vertex names must be unique"):
         DisplacementGraph(1, ("A", "A"), ())
+
+
+@pytest.mark.parametrize("name", ["a b", "9x", "", "x-y", "é", "A\n"])
+def test_graph_takes_only_names_the_parser_takes(name):
+    # serialize_dgf would write a vertex line that parse_dgf rejects
+    with pytest.raises(ValueError, match=re.escape(f"invalid vertex name {name!r}")):
+        DisplacementGraph(1, ("A", name), (Edge(0, 1, (1,)), Edge(1, 0, (0,))))
+    with pytest.raises(DgfError, match="vertex"):
+        parse_dgf(f"dim 1\nvertex A\nvertex {name}\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_graph_builders_leave_the_callers_gc_state(enabled):
+    ring = convex_hull([(Fraction(1, 4),), (Fraction(-1, 6),)])  # a ring of 12
+    chained = realize(ring)
+    builds = [
+        (lambda: parse_dgf(SQUARE_DGF), None),
+        (lambda: parse_dgf("dim 1\nvertex A\nedge A B 0\n"), DgfError),
+        (lambda: contract_chains(chained), None),
+        (lambda: realize(ring), None),
+        (lambda: realize(ring, budget=11), BudgetError),
+    ]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for build, error in builds:
+            if error is None:
+                assert build() is not None
+            else:
+                with pytest.raises(error):
+                    build()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("bad, message", [

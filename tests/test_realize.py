@@ -7,6 +7,7 @@ import pytest
 
 from helpers import HEX_VELOCITIES, random_rational_points
 from velo import (
+    DisplacementGraph,
     Edge,
     GraphAnalysis,
     Polytope,
@@ -60,6 +61,7 @@ def test_realized_lcm_27720_ring_survives_a_dgf_round_trip():
                      (F(-1, 7), F(-1, 11), F(-1))])
     g = realize(p)
     assert len(g.vertices) == 27_720
+    assert DisplacementGraph(g.dim, g.vertices, g.edges) == g  # realize skips its checks
     assert parse_dgf(serialize_dgf(g)) == g
 
 
@@ -69,6 +71,7 @@ def test_realize_structure_random():
         d = rng.choice([1, 2, 3])
         p = convex_hull(random_rational_points(rng, d, rng.randint(1, 5), max_num=8, max_den=6))
         g = realize(p)
+        assert DisplacementGraph(g.dim, g.vertices, g.edges) == g
         gamma = len(g.vertices)
         assert strongly_connected_components(g) == (tuple(range(gamma)),)
         cycles = enumerate_cycles(g)
