@@ -93,16 +93,18 @@ def core_cycles(core: DisplacementGraph, chains: Sequence[Sequence[int]] | None,
     Each search is Johnson's (1975), along the edges inside the component in
     ascending order, so it yields in lexicographic order (no simple cycle is
     a prefix of another); blocking works on vertices, so parallel edges yield
-    separately.  Its blocked flags and B-sets live in per-vertex lists made
-    once, and each search resets only the vertices it blocked.
+    separately.  A vertex has closed a cycle when ``count`` has moved since
+    its frame was pushed.  Its blocked flags and B-lists live in per-vertex
+    lists made once per stream, each B-list made on first use, and each
+    search resets only the vertices it reached.
     """
     edges, comp_of = core.edges, core._comp_of
     steps = [[(j, edges[j].target) for j in inside] for inside in core._inside]
     roots = range(len(edges)) if chains is None else sorted(
         range(len(edges)), key=lambda j: min(chains[j]))
     blocked = [False] * len(core.vertices)
-    # Johnson's B(w): sets, so each v enters once, which keeps the delay polynomial
-    unblocks: list[set[int]] = [set() for _ in core.vertices]
+    # Johnson's B(w), None until first used; each v enters once, which keeps the delay polynomial
+    unblocks: list[list[int] | None] = [None] * len(core.vertices)
     count, searched = 0, set()
     for e0 in roots:
         root, first, _ = edges[e0]
@@ -111,7 +113,7 @@ def core_cycles(core: DisplacementGraph, chains: Sequence[Sequence[int]] | None,
             continue
         # the root's own frame runs e0 alone; reaching the root closes a cycle
         touched, path, frames = [root], [], []
-        v, it, closed = root, iter(((e0, first),)), False
+        v, it, mark = root, iter(((e0, first),)), count
         while True:
             for j, w in it:
                 if w == root:
@@ -124,34 +126,38 @@ def core_cycles(core: DisplacementGraph, chains: Sequence[Sequence[int]] | None,
                         raise BudgetError(f"cycle budget of {max_cycles} exceeded "
                                           f"while exploring component {{{names}}}")
                     yield (*path, j)
-                    closed = True
                 elif not blocked[w]:
                     blocked[w] = True
                     touched.append(w)
-                    frames.append((v, it, closed))
+                    frames.append((v, it, mark))
                     path.append(j)
-                    v, it, closed = w, iter(steps[w]), False
+                    v, it, mark = w, iter(steps[w]), count
                     break
             else:
                 if not frames:
                     break
-                if closed:  # unblock v, and whatever waits on it
-                    pending = [v]
+                if count != mark:  # unblock v, and whatever waits on it
+                    blocked[v] = False
+                    pending, unblocks[v] = unblocks[v], None
                     while pending:
                         u = pending.pop()
                         if blocked[u]:
                             blocked[u] = False
-                            pending.extend(unblocks[u])
-                            unblocks[u].clear()
+                            if unblocks[u]:
+                                pending += unblocks[u]
+                                unblocks[u] = None
                 else:  # v stays blocked until one of its successors unblocks
                     for _, w in steps[v]:
-                        unblocks[w].add(v)
+                        waiting = unblocks[w]
+                        if waiting is None:
+                            unblocks[w] = [v]
+                        elif v not in waiting:
+                            waiting.append(v)
                 path.pop()
-                v, it, below = frames.pop()
-                closed = closed or below
+                v, it, mark = frames.pop()
         for u in touched:
             blocked[u] = False
-            unblocks[u].clear()
+            unblocks[u] = None
         steps[root].remove((e0, first))
         if 0 <= twin != e0:
             steps[first].remove((twin, root))
@@ -165,10 +171,12 @@ def unfolded_cycles(
     the core of ``fold`` (``g`` itself when None): each core cycle's chains,
     rotated to start at its first chain's least id, which is its least id."""
     if fold is None:
-        yield from core_cycles(g, None, max_cycles)
-        return
-    chains = fold.chains
-    for cycle in core_cycles(fold.graph, chains, max_cycles):
+        return core_cycles(g, None, max_cycles)
+    return _unfold(fold.chains, core_cycles(fold.graph, fold.chains, max_cycles))
+
+
+def _unfold(chains: Sequence[Sequence[int]], cycles: Iterator[Path]) -> Iterator[Path]:
+    for cycle in cycles:
         flat = [eid for j in cycle for eid in chains[j]]
         k = flat.index(min(chains[cycle[0]]))
         yield (*flat[k:], *flat[:k])

@@ -129,20 +129,23 @@ class GraphAnalysis:
         displacement, with B = 2m + 1 for m the larger of the sum of the
         lengths and the sum of each displacement's largest absolute entry.  A
         simple cycle uses each edge at most once, so every digit of its codes'
-        sum stays within m in absolute value and decodes.
+        sum stays within m in absolute value and decodes.  One ``Counter``
+        pass over the stream counts each (halved, code) key, so it holds one
+        entry per distinct key rather than one code per cycle.
         """
         core, c, lengths, twins = self.core, self._contraction, self._lengths, self._twins
         half = max(sum(lengths), sum(max(map(abs, e.displacement)) for e in core.edges))
         base = 2 * half + 1
         codes = [sum(x * base**i for i, x in enumerate((n, *e.displacement)))
                  for e, n in zip(core.edges, lengths)]
-        packed, mirrored = Counter(), Counter()
-        for cycle in core_cycles(core, c and c.chains, self.max_cycles, twins):
-            code = sum(map(codes.__getitem__, cycle))
-            (mirrored if 0 <= twins[cycle[0]] != cycle[-1] else packed)[code] += 1
-        # each mirrored code T + B*D also stands for its reverse, T - B*D
-        packed.update(mirrored)
-        packed.update({2 * ((code + half) % base - half) - code: n for code, n in mirrored.items()})
+        code_of = codes.__getitem__
+        keys = Counter((0 <= twins[cycle[0]] != cycle[-1], sum(map(code_of, cycle)))
+                       for cycle in core_cycles(core, c and c.chains, self.max_cycles, twins))
+        packed = Counter()
+        for (halved, code), n in keys.items():
+            packed[code] += n
+            if halved:  # a halved code T + B*D also stands for its reverse, T - B*D
+                packed[2 * ((code + half) % base - half) - code] += n
 
         def unpack(code: int) -> tuple[IntVec, int]:
             digits = []

@@ -819,6 +819,25 @@ def test_one_enumeration_per_graph_argument(
         assert all(contract_chains(g) is None for g in calls), args
 
 
+def test_sq_4x4_cycles_and_report_survive_a_gauge_move(tmp_path, capsys):
+    # the benchmark's largest enumeration; a gauge move keeps every cycle's displacement
+    net, total = nets.supercell(nets.BASE["sq"], (4, 4)), nets.CYCLE_COUNTS["sq", (4, 4)]
+    rng = random.Random(44)
+    potential = [[rng.randint(-3, 3) for _ in range(net.dim)] for _ in net.vertices]
+    outputs = []
+    for name, moved in [("plain", net), ("gauge", nets.gauge_moved(net, potential))]:
+        path = tmp_path / f"{name}.dgf"
+        path.write_text(nets.dgf_text(moved))
+        cycles, report, report_json = [
+            run_cli([*args, str(path)], capsys) for args in (["cycles"], ["report"], ["report", "--json"])
+        ]
+        assert (cycles[0], cycles[1].splitlines()[-1]) == (0, f"cycles {total}")
+        assert (report_json[0], json.loads(report_json[1])["cycles"]) == (0, total)
+        assert f"\ncycles {total}\n" in report[1]
+        outputs.append((cycles, report, report_json))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("text, listed, total", [
     (HONEYCOMB_DGF, 6, 9),
     (nets.dgf_text(nets.supercell(nets.BASE["sq"], (2, 2))), 28, 48),

@@ -141,10 +141,29 @@ LEFT_IN_A_B_SET = _multigraph(
     4, (3, 2), (2, 3), (0, 3), (0, 1), (3, 1), (1, 0), (3, 3), (0, 3)
 )
 
+# Root e1 = 3->0 ends with 0, 1 and 2 blocked and B(2) = [1, 0].  Root e2 =
+# 0->1 closes 0->1->2->0, and unblocking 2 must not unblock 1, which is on
+# the path: with B(2) left over from e1 rather than None, e7 = 1->1 would
+# revisit 1 and yield (2, 7, 4, 5).  Nothing folds, so both streams meet this.
+LEFT_IN_A_B_LIST = _multigraph(
+    4, (0, 3), (3, 0), (0, 1), (0, 2), (1, 2), (2, 0), (3, 0), (1, 1)
+)
+# Root e0 = 0->2 reaches 1, whose two arcs to 2 both find it blocked: 1 enters
+# B(2) once, and 2 closing through e4 unblocks it.
+TWO_ARCS_INTO_A_B_LIST = _multigraph(3, (0, 2), (2, 1), (1, 2), (1, 2), (2, 0), (0, 0))
+# Root e0 = 2->3 reaches 1, which closes 2->3->1->2 and then pushes 0, a dead
+# end.  Back at 1 the count has moved since 1 was pushed, though not since 0
+# was, so 1 and 0 unblock and e5 = 3->0 goes on to yield (0, 5, 1, 2).  Only
+# the unfolded search meets this, as v2 is a chain vertex.
+CLOSED_BEFORE_A_DEAD_END = _multigraph(4, (2, 3), (0, 1), (1, 2), (3, 1), (1, 0), (3, 0))
+
 
 @given(multigraphs())
 @example(STUCK_AT_A_ROOTS_END)
 @example(LEFT_IN_A_B_SET)
+@example(LEFT_IN_A_B_LIST)
+@example(TWO_ARCS_INTO_A_B_LIST)
+@example(CLOSED_BEFORE_A_DEAD_END)
 def test_search_state_is_reset_between_roots_and_streams(g):
     cycles = brute_cycles(g)
     assert list(enumerate_cycles(g)) == cycles

@@ -280,6 +280,10 @@ def two_mirrored_components(draw):
 @example(parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 1\nedge A B 1\nedge B A -1\nedge B A -1"))
 @example(parse_dgf("dim 1\nvertex A\nvertex B\nedge A B 1\nedge B A -1"))  # holds its root's twin
 @example(subdivide(parse_dgf(HONEYCOMB_DGF), {4: 1}))  # one longer arc: not mirrored
+# displacement 1 over 2 steps is a halved key in the mirrored {A,B}, whose
+# reverse has -1, and a plain key in {C,D}, which does not mirror
+@example(parse_dgf("dim 1\nvertex A\nvertex B\nvertex C\nvertex D\nedge A B 1\nedge B A 0\n"
+                   "edge A B 0\nedge B A -1\nedge C D 1\nedge D C 0"))
 def test_cycle_pairs_match_brute_force(g):
     expected = Counter(
         (tuple(map(sum, zip(*(g.edges[eid].displacement for eid in c)))), len(c))
