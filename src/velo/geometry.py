@@ -2,17 +2,17 @@
 
 Polytopes live in V-representation (extreme points only, lexicographically
 sorted); a full-dimensional polytope also carries its facets.  One exact
-beneath-beyond hull serves every dimension, over integers scaled from the
-rational input, and one fraction-free elimination serves all of the linear
-algebra.  Membership, containment, the gauge and the max-norm distance are
-read off the facets of one such hull each.  There is no floating point
-anywhere in this module.
+beneath-beyond hull serves every dimension; it keeps each point as a
+homogeneous integer pair (D, T), the point D/T, and builds a ``Fraction``
+only for the vertices it outputs.  One fraction-free elimination serves all
+of the linear algebra.  Membership, containment, the gauge and the max-norm
+distance are read off the facets of one such hull each.  There is no
+floating point anywhere in this module.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,6 +20,7 @@ from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 QVec = tuple[Fraction, ...]
+Pair = tuple[tuple[int, ...], int]  # (D, T) with T > 0: the rational point D/T
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -134,6 +135,17 @@ def affine_dimension(points: Sequence[QVec]) -> int:
 # convex hulls
 
 
+def _homogeneous(p: QVec) -> Pair:
+    """The rational point as its reduced pair (D, T): T the lcm of its denominators, D = T * p."""
+    t = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (t // c.denominator) for c in p), t
+
+
+def _rational(p: Pair) -> QVec:
+    d, t = p
+    return tuple(Fraction(c, t) for c in d)
+
+
 def _primitive(normal: Sequence[int], offset: int) -> Facet:
     """The inequality normal.x <= offset divided by the gcd of its coefficients."""
     g = math.gcd(*normal, offset)
@@ -143,20 +155,24 @@ def _primitive(normal: Sequence[int], offset: int) -> Facet:
 class _Hull:
     """Beneath-beyond hull of distinct rational points, grown one point at a time.
 
-    The points given first fix the affine hull: the hull is kept over y, the
-    pivot coordinates ``axes`` of scale * x, integers that span Z^r affinely;
-    a later point with new denominators raises ``scale``.  The boundary is
-    kept as simplices, keyed by their sorted point indices: a point beyond
-    some of them replaces them by the cones from the point over their horizon
-    ridges, the ridges that only one of them has.  Normals are oriented away
-    from the first simplex's centroid, which stays interior.  Coplanar
-    simplices share their primitive inequality, which merges them into one
-    facet; an extreme point is one whose facet normals span R^r.
+    Each point is a homogeneous pair (D, T): an integer vector D and an
+    integer T > 0 with gcd(D, T) = 1, the point D/T.  ``scale`` is the lcm of
+    the Ts, and the hull is kept over y, the pivot coordinates ``axes`` of
+    scale * D/T, integers that span Z^r affinely; the points given first fix
+    the affine hull, and a later point with a new T raises ``scale``.  The
+    boundary is kept as simplices, keyed by their sorted point indices: a
+    point beyond some of them replaces them by the cones from the point over
+    their horizon ridges, the ridges that only one of them has.  Normals are
+    oriented away from the first simplex's centroid, which stays interior.
+    Coplanar simplices share their primitive inequality, which merges them
+    into one facet; an extreme point is one whose facet normals span R^r.
+    No ``Fraction`` is built but the output vertices of ``polytope``.
     """
 
-    def __init__(self, points: Sequence[QVec]) -> None:
+    def __init__(self, points: Sequence[Pair]) -> None:
         self.points = list(points)
-        ints, self.scale = _integer_rows(points)
+        scale = self.scale = math.lcm(*(t for _, t in points))
+        ints = [[c * (scale // t) for c in d] for d, t in points]
         _, self.axes, _ = _reduce([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]])
         ys = self.ys = [tuple(p[c] for c in self.axes) for p in ints]
         n, r = len(ys), len(self.axes)
@@ -179,8 +195,10 @@ class _Hull:
             key: self._facet(key)
             for key in (tuple(simplex[:j] + simplex[j + 1:]) for j in range(r + 1))
         }
+        seed = set(simplex)
         for i in order:
-            self._insert(i)
+            if i not in seed:
+                self._insert(i)
 
     def _facet(self, key: tuple[int, ...]) -> Facet:
         ys, r = self.ys, len(self.axes)
@@ -193,30 +211,27 @@ class _Hull:
             normal = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
         else:
             normal = _kernel(rows, r)[0]
-        offset = sum(a * x for a, x in zip(normal, base))
-        if sum(a * x for a, x in zip(normal, self.inner)) > (r + 1) * offset:
+        offset = sum(map(mul, normal, base))
+        if sum(map(mul, normal, self.inner)) > (r + 1) * offset:
             normal, offset = [-a for a in normal], -offset
         return _primitive(normal, offset)
 
     def _insert(self, i: int) -> None:
         y, boundary = self.ys[i], self.boundary
-        visible = [
-            key for key, f in boundary.items()
-            if sum(a * x for a, x in zip(f.normal, y)) > f.offset
-        ]
-        if not visible:
-            return
-        ridges = Counter(key[:j] + key[j + 1:] for key in visible for j in range(len(key)))
+        visible = [key for key, f in boundary.items() if sum(map(mul, f.normal, y)) > f.offset]
+        # each ridge lies on two simplices, so the horizon is the ridges met once
+        horizon: set[tuple[int, ...]] = set()
         for key in visible:
             del boundary[key]
-        for ridge, count in ridges.items():
-            if count == 1:
-                key = tuple(sorted(ridge + (i,)))
-                boundary[key] = self._facet(key)
+            horizon ^= {key[:j] + key[j + 1:] for j in range(len(key))}
+        for ridge in horizon:
+            key = tuple(sorted(ridge + (i,)))
+            boundary[key] = self._facet(key)
 
-    def add(self, p: QVec) -> None:
-        """Insert a point of the affine hull that is not one of the points yet."""
-        k = math.lcm(self.scale, *(p[c].denominator for c in self.axes)) // self.scale
+    def add(self, p: Pair) -> None:
+        """Insert a reduced pair (D, T) of the affine hull that is not one of the points yet."""
+        d, t = p
+        k = math.lcm(self.scale, t) // self.scale
         if k > 1:
             self.scale *= k
             self.ys = [tuple(k * c for c in y) for y in self.ys]
@@ -225,7 +240,8 @@ class _Hull:
             self.boundary = {key: f._replace(offset=k * f.offset)
                              for key, f in self.boundary.items()}
         self.points.append(p)
-        self.ys.append(tuple(p[c].numerator * (self.scale // p[c].denominator) for c in self.axes))
+        m = self.scale // t
+        self.ys.append(tuple(d[c] * m for c in self.axes))
         self._insert(len(self.ys) - 1)
 
     def facets(self) -> set[Facet]:
@@ -233,18 +249,19 @@ class _Hull:
         return set(self.boundary.values())
 
     def polytope(self) -> Polytope:
-        dim = len(self.points[0])
+        dim = len(self.points[0][0])
         normals: dict[int, set[tuple[int, ...]]] = {}
         for key, f in self.boundary.items():
             for i in key:
                 normals.setdefault(i, set()).add(f.normal)
         # For r <= 3, r distinct normals already span R^r: a point inside an
         # edge of a 3-polytope lies on exactly two facets, inside a facet on one.
-        r = len(self.axes)
-        vertices = tuple(sorted(
-            self.points[i] for i, ns in normals.items()
-            if len(ns) >= r and (r <= 3 or len(_reduce(list(ns))[1]) == r)
-        ))
+        r, scale = len(self.axes), self.scale
+        extreme = [self.points[i] for i, ns in normals.items()
+                   if len(ns) >= r and (r <= 3 or len(_reduce(list(ns))[1]) == r)]
+        # scale * x is an integer vector in the order of x
+        extreme.sort(key=lambda p: [c * (scale // p[1]) for c in p[0]])
+        vertices = tuple(map(_rational, extreme))
         if r < dim:
             return Polytope(dim, vertices)
         # a.(scale x) <= b is (scale a).x <= b
@@ -256,10 +273,11 @@ class _Hull:
 def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polytope:
     """Exact convex hull: deduplicated extreme points, plus facets when full-dimensional.
 
-    ``dim`` is required for an empty input and validated otherwise.  The
-    points are scaled to integers by the lcm of their denominators and
-    projected onto the pivot coordinates of their affine hull, where one
-    beneath-beyond pass finds the extreme points and the facets.
+    ``dim`` is required for an empty input and validated otherwise.  Each
+    point enters the hull once as its pair (D, T), T the lcm of its
+    denominators; the hull projects them onto the pivot coordinates of their
+    affine hull, where one beneath-beyond pass finds the extreme points and
+    the facets.
     """
     qpoints = [as_qvec(p) for p in points]
     if qpoints:
@@ -275,49 +293,52 @@ def convex_hull(points: Iterable[Sequence], *, dim: int | None = None) -> Polyto
         raise ValueError("dimension must be >= 1")
     if not qpoints:
         return Polytope(dim, ())
-    unique = sorted(set(qpoints))
+    unique = list(dict.fromkeys(map(_homogeneous, qpoints)))
     if len(unique) == 1:
-        return Polytope(dim, (unique[0],))
+        return Polytope(dim, (qpoints[0],))
     return _Hull(unique).polytope()
 
 
-def polytope_from_support(
-    support: Callable[[tuple[int, ...]], tuple[tuple[int, ...], int]], dim: int
-) -> Polytope:
+def polytope_from_support(support: Callable[[tuple[int, ...]], Pair], dim: int) -> Polytope:
     """The polytope P, as ``convex_hull`` gives it, from its support oracle alone.
 
     ``support(u)``, for a primitive integer u, returns a point of P where u.x
     is largest, as an integer vector D and a positive integer T with x = D/T;
-    no direction is asked twice.  The loop is output-sensitive (Emiris,
-    Fisikopoulos, Konaxis and Penaranda 2013).  The points for +-e_i are
-    extended to P's affine hull by asking + and - each normal of their own
-    affine hull until no answer leaves it.  A hull of them then asks each of
-    its facet normals and takes in the answer whenever it lies beyond the
-    facet; every point taken in lies in P, so once no facet is beaten the
-    hull is P.
+    no direction is asked twice.  Each answer is kept as its pair (D, T) in
+    lowest terms, so one point answered under two spellings is one point, and
+    only the output vertices become ``Fraction``s.  The loop is
+    output-sensitive (Emiris, Fisikopoulos, Konaxis and Penaranda 2013).  The
+    points for +-e_i are extended to P's affine hull by asking + and - each
+    normal of their own affine hull, the kernel of the integer rows
+    T_0 D_i - T_i D_0, until no answer leaves it.  A hull of them then asks
+    each of its facet normals and takes in the answer whenever it lies
+    beyond the facet; every point taken in lies in P, so once no facet is
+    beaten the hull is P.
     """
-    answers: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    answers: dict[tuple[int, ...], Pair] = {}
 
-    def ask(u: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    def ask(u: Sequence[int]) -> Pair:
         g = math.gcd(*u)
         u = tuple(c // g for c in u)
         if u not in answers:
-            answers[u] = support(u)
+            d, t = support(u)
+            g = math.gcd(*d, t)
+            answers[u] = tuple(c // g for c in d), t // g
         return answers[u]
 
-    def point(u: Sequence[int]) -> QVec:
-        d, t = ask(u)
-        return tuple(Fraction(c, t) for c in d)
+    def affine_normals() -> list[list[int]]:
+        (d0, t0), *rest = found
+        return _kernel([[t0 * a - t * b for a, b in zip(d, d0)] for d, t in rest], dim)
 
-    found = {point([s * (j == i) for j in range(dim)]): None for i in range(dim) for s in (1, -1)}
-    normals, flat = _affine_normals(list(found)), None
+    found = {ask([s * (j == i) for j in range(dim)]): None for i in range(dim) for s in (1, -1)}
+    normals, flat = affine_normals(), None
     while normals and len(normals) != flat:
         for normal in normals:
             for sign in (1, -1):
-                found.setdefault(point([sign * a for a in normal]))
-        flat, normals = len(normals), _affine_normals(list(found))
+                found.setdefault(ask([sign * a for a in normal]))
+        flat, normals = len(normals), affine_normals()
     if len(normals) == dim:
-        return Polytope(dim, tuple(found))
+        return Polytope(dim, tuple(map(_rational, found)))
     hull, confirmed = _Hull(list(found)), set()
     while True:
         for f in hull.facets() - confirmed:
@@ -326,7 +347,7 @@ def polytope_from_support(
                 normal[c] = a
             d, t = ask(normal)
             if sum(map(mul, normal, d)) * hull.scale > f.offset * t:
-                hull.add(tuple(Fraction(c, t) for c in d))
+                hull.add((d, t))
                 break
             confirmed.add(f)
         else:
@@ -392,26 +413,26 @@ def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
     q = as_qvec(x, p.dim)
     if not any(q):  # this also keeps K = {0}, a single point, away from the hull
         return _ZERO
+    d, t = _homogeneous(q)  # x = d / t, and y below is t times x in the facets' coordinates
     if p.facets is not None and all(f.offset >= 0 for f in p.facets):
-        facets, y = p.facets, q  # P holds the origin, so K = P
+        facets, y = p.facets, d  # P holds the origin, so K = P
     else:
         points = sorted(set(p.vertices) | {(_ZERO,) * p.dim})
         # K holds 0, so its affine hull is the subspace these normals cut out
         if any(sum(map(mul, n, q)) for n in _affine_normals(points)):
             return None
-        hull = _Hull(points)
+        hull = _Hull([_homogeneous(v) for v in points])
         facets = hull.facets()
-        y = tuple(hull.scale * q[c] for c in hull.axes)
-    (ints,), k = _integer_rows([y])  # y = ints / k
-    top, bottom = 0, 1  # the largest a.ints / b so far, compared by cross-multiplying
+        y = [hull.scale * d[c] for c in hull.axes]
+    top, bottom = 0, 1  # the largest a.y / b so far, compared by cross-multiplying
     for f in facets:
-        ay = sum(map(mul, f.normal, ints))
+        ay = sum(map(mul, f.normal, y))
         if f.offset:
             if ay * bottom > top * f.offset:
                 top, bottom = ay, f.offset
         elif ay > 0:
             return None
-    return Fraction(top, bottom * k)
+    return Fraction(top, bottom * t)
 
 
 def polytope_distance_inf(p: Polytope, x: Sequence) -> Fraction:

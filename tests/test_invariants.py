@@ -14,6 +14,7 @@ from helpers import (
     DIAMOND_DGF,
     HEX_VERTICES,
     HONEYCOMB_DGF,
+    random_gauge,
     random_strongly_connected_graph,
     subdivide,
 )
@@ -33,6 +34,7 @@ from velo import (
     convex_hull,
     gamma_norm_oracle,
     gauge_norm,
+    gauge_transform,
     lattice_rank_and_index,
     origin_in_hull_interior,
     parse_dgf,
@@ -196,6 +198,32 @@ def test_functoriality_adding_edges_grows_polytope():
         )
         bigger = DisplacementGraph(g.dim, g.vertices, g.edges + extra)
         assert contains_polytope(velocity_polytope(bigger), velocity_polytope(g))
+
+
+def test_polytope_moves_with_gauge_and_unimodular_maps():
+    """Metamorphic relations on graphs of 20-40 vertices in d = 3, where no
+    brute-force oracle reaches: a gauge move leaves P as it is, and a
+    unimodular A applied to every displacement maps P's vertices to A.v."""
+    rng = random.Random(2029)
+    for _ in range(20):
+        g = random_strongly_connected_graph(rng, max_vertices=40, max_extra_edges=80)
+        while g.dim != 3 or len(g.vertices) < 20:
+            g = random_strongly_connected_graph(rng, max_vertices=40, max_extra_edges=80)
+        p = GraphAnalysis(g).polytope
+        assert GraphAnalysis(gauge_transform(g, random_gauge(g, rng))).polytope == p
+        a = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(4):  # row additions and a sign flip keep |det A| = 1
+            i, j = rng.sample(range(3), 2)
+            a[i] = [x + rng.choice((-2, -1, 1, 2)) * y for x, y in zip(a[i], a[j])]
+        i = rng.randrange(3)
+        a[i] = [-x for x in a[i]]
+
+        def image(v):
+            return tuple(sum(x * c for x, c in zip(row, v)) for row in a)
+
+        mapped = DisplacementGraph(3, g.vertices, tuple(
+            e._replace(displacement=image(e.displacement)) for e in g.edges))
+        assert GraphAnalysis(mapped).polytope.vertices == tuple(sorted(map(image, p.vertices)))
 
 
 # ---------------------------------------------------------------------------

@@ -185,19 +185,30 @@ def point_sets(draw):
             for cs in draw(st.lists(coefs, min_size=1, max_size=9))]
 
 
+OCTAHEDRON = [tuple(F(s * (j == i)) for j in range(3)) for i in range(3) for s in (1, -1)]
+
+
 # The +-e_i answers span only the line through 0 and A, and the answers for
 # the normals of that line span only the plane through q; r, off that plane,
-# is found by asking again with the plane's normal.
-@given(point_sets())
-@example([(F(0), F(0), F(0)), (F(20), F(20), F(20)), (F(10), F(18), F(2)), (F(10), F(12), F(7))])
-def test_polytope_from_support_matches_convex_hull(points):
+# is found by asking again with the plane's normal.  The one point (1, 0),
+# answered as (2, 0)/2 and as (1, 0)/1, is one vertex.  The octahedron's
+# +-e_i answers are integral; (1/2, 1/2, 1/2), beyond its facet
+# x + y + z <= 1, brings the first denominator 2, and the hull rescales.
+@given(point_sets(), st.lists(st.integers(1, 4), min_size=1, max_size=8))
+@example([(F(0), F(0), F(0)), (F(20), F(20), F(20)), (F(10), F(18), F(2)), (F(10), F(12), F(7))],
+         [1])
+@example([(F(1), F(0))], [2, 1])
+@example(OCTAHEDRON + [(F(1, 2),) * 3], [3])
+def test_polytope_from_support_matches_convex_hull(points, factors):
+    """The support answers come back scaled by the factors in turn, not in lowest terms."""
     asked = []
 
     def support(u):
+        k = factors[len(asked) % len(factors)]
         asked.append(u)
         p = max(points, key=lambda p: (sum(a * x for a, x in zip(u, p)), p))
         t = math.lcm(*(x.denominator for x in p))
-        return tuple(int(x * t) for x in p), t
+        return tuple(int(x * t) * k for x in p), t * k
 
     assert polytope_from_support(support, len(points[0])) == convex_hull(points)
     assert len(asked) == len(set(asked))
