@@ -25,7 +25,6 @@ from .geometry import (
     Anisotropy,
     anisotropy,
     contains_polytope,
-    format_rational,
     gauge_norm,
     parse_rational,
     polytope_from_json,
@@ -104,8 +103,8 @@ def _verdict(rep: ConnectivityReport) -> dict:
 
 def _anisotropy_dict(an: Anisotropy) -> dict:
     return {
-        "inradius2": format_rational(an.inradius_sq),
-        "circumradius2": format_rational(an.circumradius_sq),
+        "inradius2": str(an.inradius_sq),
+        "circumradius2": str(an.circumradius_sq),
         "isotropic": an.isotropic,
     }
 
@@ -152,13 +151,13 @@ def cmd_norm(args: argparse.Namespace, budgets: Budgets) -> int:
         sys.stderr.write("\n".join(_lines(_verdict(rep))) + "\n")
         return _fail(f"graph is {rep.verdict}, not {VERDICT_STRONG}", 3)
     x = tuple(args.x)
-    value = gauge_norm(analysis.polytope, [Fraction(c) for c in x])
-    payload: dict = {"norm": format_rational(value)}
+    value = gauge_norm(analysis.polytope, x)
+    payload: dict = {"norm": str(value)}
     if args.oracle:
         oracle = gamma_norm_oracle(analysis.graph, x, args.n, patch_budget=budgets.patch)
         payload["n"] = args.n
-        payload["oracle"] = format_rational(oracle)
-        payload["gap"] = format_rational(abs(oracle - value))
+        payload["oracle"] = str(oracle)
+        payload["gap"] = str(abs(oracle - value))
     return _emit(args, payload, [payload["norm"], *_lines(payload, "norm", "n")])
 
 
@@ -209,10 +208,10 @@ def cmd_simulate(args: argparse.Namespace, budgets: Budgets) -> int:
     vel = tuple(Fraction(c, steps) for c in displacement)
     gap = max(abs(a - b) for a, b in zip(vel, target))
     payload = {
-        "target": [format_rational(c) for c in target],
+        "target": [str(c) for c in target],
         "steps": steps,
-        "velocity": [format_rational(c) for c in vel],
-        "target_gap": format_rational(gap),
+        "velocity": [str(c) for c in vel],
+        "target_gap": str(gap),
         "polytope_gap": "0",  # each stage is a closed walk, a mixture of simple cycles, so vel is in P
     }
     return _emit(args, payload, _lines(payload))
@@ -257,7 +256,7 @@ def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
         "edges": len(g.edges),
         **_verdict(analysis.report),
         "cycles": count,
-        "basic_velocities": [[format_rational(c) for c in v] for v in velocities],
+        "basic_velocities": [[str(c) for c in v] for v in velocities],
     }
     lines = [f"vertices {len(g.vertices)}", *_lines(payload, "vertices", "basic_velocities")]
     lines += ["velocity " + _word(v) for v in payload["basic_velocities"]]

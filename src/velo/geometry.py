@@ -119,16 +119,16 @@ def _kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     return basis
 
 
-def _affine_normals(points: Sequence[QVec]) -> list[list[int]]:
-    """Integer normals that span the orthogonal complement of the points' affine hull."""
-    base = points[0]
-    rows, _ = _integer_rows([[a - b for a, b in zip(p, base)] for p in points[1:]])
-    return _kernel(rows, len(base))
+def _affine_normals(points: Iterable[Pair]) -> list[list[int]]:
+    """Integer normals to the affine hull of the pairs (D, T): the kernel of rows T_0 D_i - T_i D_0."""
+    (d0, t0), *rest = points
+    return _kernel([[t0 * a - t * b for a, b in zip(d, d0)] for d, t in rest], len(d0))
 
 
 def affine_dimension(points: Sequence[QVec]) -> int:
-    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
-    return len(points[0]) - len(_affine_normals(points)) if points else -1
+    """Dimension of the points' affine hull, read off their pairs (D, T); -1 for none, 0 for one."""
+    pairs = [_homogeneous(as_qvec(p)) for p in points]
+    return len(pairs[0][0]) - len(_affine_normals(pairs)) if pairs else -1
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +326,13 @@ def polytope_from_support(support: Callable[[tuple[int, ...]], Pair], dim: int) 
             answers[u] = tuple(c // g for c in d), t // g
         return answers[u]
 
-    def affine_normals() -> list[list[int]]:
-        (d0, t0), *rest = found
-        return _kernel([[t0 * a - t * b for a, b in zip(d, d0)] for d, t in rest], dim)
-
     found = {ask([s * (j == i) for j in range(dim)]): None for i in range(dim) for s in (1, -1)}
-    normals, flat = affine_normals(), None
+    normals, flat = _affine_normals(found), None
     while normals and len(normals) != flat:
         for normal in normals:
             for sign in (1, -1):
                 found.setdefault(ask([sign * a for a in normal]))
-        flat, normals = len(normals), affine_normals()
+        flat, normals = len(normals), _affine_normals(found)
     if len(normals) == dim:
         return Polytope(dim, tuple(map(_rational, found)))
     hull, confirmed = _Hull(list(found)), set()
@@ -417,11 +413,11 @@ def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
     if p.facets is not None and all(f.offset >= 0 for f in p.facets):
         facets, y = p.facets, d  # P holds the origin, so K = P
     else:
-        points = sorted(set(p.vertices) | {(_ZERO,) * p.dim})
+        points = list(dict.fromkeys([*map(_homogeneous, p.vertices), ((0,) * p.dim, 1)]))
         # K holds 0, so its affine hull is the subspace these normals cut out
-        if any(sum(map(mul, n, q)) for n in _affine_normals(points)):
+        if any(sum(map(mul, n, d)) for n in _affine_normals(points)):
             return None
-        hull = _Hull([_homogeneous(v) for v in points])
+        hull = _Hull(points)
         facets = hull.facets()
         y = [hull.scale * d[c] for c in hull.axes]
     top, bottom = 0, 1  # the largest a.y / b so far, compared by cross-multiplying
@@ -539,10 +535,6 @@ def anisotropy(p: Polytope, metric: Sequence[Sequence] | None = None) -> Anisotr
 # serialization
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def parse_rational(text: str) -> Fraction:
     token = text.strip()
     try:
@@ -554,7 +546,7 @@ def parse_rational(text: str) -> Fraction:
 def polytope_to_dict(p: Polytope) -> dict:
     out: dict = {
         "dim": p.dim,
-        "vertices": [[format_rational(c) for c in v] for v in p.vertices],
+        "vertices": [[str(c) for c in v] for v in p.vertices],
     }
     if p.facets is not None:
         out["facets"] = [

@@ -10,11 +10,10 @@ budget, checked before any vertex is built.
 """
 from __future__ import annotations
 
-import math
 from itertools import chain, repeat
 
 from .errors import BudgetError
-from .geometry import Polytope
+from .geometry import Polytope, _integer_rows
 from .graph import DisplacementGraph, _GcPaused, _edge, _graph
 
 DEFAULT_REALIZE_BUDGET = 5_000_000
@@ -26,18 +25,19 @@ def realize(p: Polytope, *, budget: int = DEFAULT_REALIZE_BUDGET) -> Displacemen
     The vertices are read as given, not hulled again: ``convex_hull`` and the
     JSON loader already leave only extreme points.  A hand-built ``Polytope``
     with a repeated or non-extreme vertex still gets a correct graph, with one
-    more closing edge whose velocity lies inside the hull.  Raises BudgetError
-    when the ring would need more than ``budget`` vertices.
+    more closing edge whose velocity lies inside the hull.  The ring's length
+    and the closing vectors come from ``_integer_rows`` of the vertices.
+    Raises BudgetError when the ring would need more than ``budget`` vertices.
     """
     if p.is_empty:
         raise ValueError("cannot realize the empty polytope")
-    scale = math.lcm(*(c.denominator for v in p.vertices for c in v))
+    rows, scale = _integer_rows(p.vertices)  # scale * v for each vertex v, and the lcm
     if scale > budget:
         raise BudgetError(
             f"realize vertex budget of {budget} exceeded: the ring needs lcm {scale} vertices"
         )
     vertices = tuple(map("u{}".format, range(1, scale + 1)))
     ring = zip(range(scale - 1), range(1, scale), repeat((0,) * p.dim))  # one shared zero
-    closing = ((scale - 1, 0, tuple(int(scale * c) for c in w)) for w in p.vertices)
+    closing = ((scale - 1, 0, tuple(row)) for row in rows)
     with _GcPaused():
         return _graph(p.dim, vertices, tuple(map(_edge, chain(ring, closing))))

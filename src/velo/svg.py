@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import Polytope, format_rational, hull_ring_2d
+from .geometry import Polytope, hull_ring_2d
 
 _SIZE = 480
 _CENTER = Fraction(_SIZE, 2)
@@ -41,7 +41,7 @@ def polytope_svg(p: Polytope) -> str:
         lines.append(f'<polygon points="{points}" fill="none" stroke="#000" stroke-width="2"/>')
     for v in p.vertices:
         x, y = place(v)
-        label = f"({format_rational(v[0])}, {format_rational(v[1])})"
+        label = f"({v[0]}, {v[1]})"
         lines.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#000"/>')
         lines.append(f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" font-size="12">{label}</text>')
     lines.append("</svg>")

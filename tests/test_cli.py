@@ -18,6 +18,14 @@ from helpers import (
     random_strongly_connected_graph,
     subdivide,
 )
+from oracles import (
+    anisotropy_brute,
+    brute_cycles,
+    brute_sccs,
+    facets_brute,
+    lattice_rank_and_index_brute,
+    member_caratheodory,
+)
 from velo import (
     DisplacementGraph,
     convex_hull,
@@ -31,7 +39,7 @@ from velo import (
     velocity_polytope,
 )
 from velo.cli import main
-from velo.geometry import format_rational, polytope_distance_inf
+from velo.geometry import polytope_distance_inf
 from velo.graph import contract_chains
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -297,7 +305,7 @@ def test_simulate_reads_only_the_cycles_it_needs(tmp_path, capsys, monkeypatch):
     g = parse_dgf(path.read_text())  # nothing folds, so the core ids are the graph's own
     velocities = [[F(d, len(c)) for d in path_displacement(g, c)] for c in read]
     mean = [(a + b) / 2 for a, b in zip(*velocities)]
-    assert out.startswith("target " + " ".join(map(format_rational, mean)) + "\n")
+    assert out.startswith("target " + " ".join(map(str, mean)) + "\n")
 
 
 FLAT_DGF = "dim 2\nvertex A\nvertex B\nedge A A 1 0\nedge A B 0 0\nedge B A -1 0\n"
@@ -375,7 +383,7 @@ def test_simulate_velocity_lies_in_the_polytope(tmp_path, capsys, seed, k_max):
     path.write_text(serialize_dgf(g))
     code, out, err = run_cli([
         "simulate", str(path), "--kmax", str(k_max),
-        "--weights", ",".join(format_rational(F(p, sum(parts))) for p in parts),
+        "--weights", ",".join(str(F(p, sum(parts))) for p in parts),
         "--cycles", ",".join(map(str, picks)),
     ], capsys)
     assume(err != "error: scheduled prefix is empty; increase --kmax\n")
@@ -536,6 +544,58 @@ def test_report_json(fixture_files, capsys):
     assert payload["verdict"] == "QuotientConnectedOnly"
     assert payload["lattice_index"] == 2
     assert payload["basic_velocities"] == [["-2"], ["2"]]
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), strong=st.booleans())
+def test_report_json_matches_the_oracles(tmp_path, capsys, seed, strong):
+    # every field of report --json against tests/oracles.py, with no velo code
+    # in the reference; each printed number is the str of its Fraction
+    rng = random.Random(seed)
+    g = (random_strongly_connected_graph if strong else random_graph)(rng, max_vertices=5)
+    path = tmp_path / "g.dgf"
+    path.write_text(serialize_dgf(g))
+    code, out, err = run_cli(["report", str(path), "--json"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    cycles = brute_cycles(g)
+    disps = [tuple(map(sum, zip(*(g.edges[e].displacement for e in c)))) for c in cycles]
+    velocities = sorted({tuple(F(x, len(c)) for x in d) for c, d in zip(cycles, disps)})
+    rank, index = lattice_rank_and_index_brute(sorted(set(disps)), g.dim)
+    facets = facets_brute(velocities) if velocities else None
+    cone_full = facets is not None and all(b > 0 for _, b in facets)
+    scc_count = len(brute_sccs(g))
+    if scc_count > 1:
+        verdict = "Disconnected"
+    elif rank == g.dim and index == 1 and cone_full:
+        verdict = "StronglyConnectedPeriodic"
+    else:
+        verdict = "QuotientConnectedOnly"
+    assert (payload["cycles"], payload["scc_count"]) == (len(cycles), scc_count)
+    assert payload["basic_velocities"] == [[str(c) for c in v] for v in velocities]
+    assert (payload["cycle_lattice_rank"], payload["lattice_index"]) == (rank, index)
+    assert (payload["cone_full"], payload["verdict"]) == (cone_full, verdict)
+    if scc_count > 1:
+        assert "polytope" not in payload
+        return
+    poly = payload["polytope"]
+    vertices = [tuple(F(c) for c in v) for v in poly["vertices"]]
+    assert poly["vertices"] == [[str(c) for c in v] for v in vertices]
+    # the printed vertices are sorted velocities whose hull holds every
+    # velocity, and none lies in the hull of the others
+    assert vertices == sorted(vertices) and set(vertices) <= set(velocities)
+    assert all(member_caratheodory(v, vertices) for v in velocities)
+    assert not any(member_caratheodory(v, vertices[:i] + vertices[i + 1:])
+                   for i, v in enumerate(vertices))
+    assert poly.get("facets") == (facets and [{"a": list(map(str, a)), "b": str(b)}
+                                             for a, b in facets])
+    anisotropy = None
+    if cone_full:
+        identity = [[F(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
+        inrad, circum = anisotropy_brute(vertices, identity)
+        anisotropy = {"inradius2": str(inrad), "circumradius2": str(circum),
+                      "isotropic": inrad == circum}
+    assert payload["anisotropy"] == anisotropy
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from oracles import (
     distance_inf_brute,
     facets_brute,
     gauge_caratheodory,
+    lattice_rank_and_index_brute,
     member_caratheodory,
 )
 from velo import (
@@ -422,11 +424,39 @@ def test_origin_interior_direct():
     assert not origin_in_hull_interior([], 2)
 
 
-def test_affine_dimension():
-    assert affine_dimension([]) == -1
-    assert affine_dimension([(F(3), F(4))]) == 0
-    assert affine_dimension([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]) == 1
-    assert affine_dimension(list(HEX_VERTICES)) == 2
+@st.composite
+def rational_sets(draw):
+    """Up to 6 points with d <= 4 and denominators 1..6: scattered, or p_0 plus
+    combinations of k < d directions, a flat set."""
+    d = draw(st.integers(1, 4))
+    q = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    vec = st.tuples(*[q] * d)
+    if draw(st.booleans()):
+        return draw(st.lists(vec, min_size=1, max_size=6))
+    base, dirs = draw(vec), draw(st.lists(vec, max_size=d - 1))
+    coeffs = draw(st.lists(st.lists(q, min_size=len(dirs), max_size=len(dirs)), max_size=5))
+    return [base] + [tuple(b + sum(c * v[i] for c, v in zip(cs, dirs)) for i, b in enumerate(base))
+                     for cs in coeffs]
+
+
+@example(points=[])
+@example(points=[(F(3), F(4))])
+@example(points=[(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
+@example(points=list(HEX_VERTICES))
+# (1/2, 1/3), (1, 2/3) and (3/2, 1) share D = (3, 2) and differ only in T
+@example(points=[(F(1, 2), F(1, 3)), (F(1), F(2, 3)), (F(3, 2), F(1))])
+@example(points=[(F(1, 3), F(0), F(1, 2)), (F(1, 3), F(0), F(1, 2)), (F(0), F(1, 2), F(1, 4))])
+@example(points=[(F(1, 6), F(-1, 4)), (F(1, 6), F(-1, 4))])
+@given(points=rational_sets())
+def test_affine_dimension(points):
+    # the rank of the differences p_i - p_0, scaled by their common denominator
+    if not points:
+        assert affine_dimension(points) == -1
+        return
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    scale = math.lcm(*(c.denominator for row in diffs for c in row))
+    rows = [[int(c * scale) for c in row] for row in diffs]
+    assert affine_dimension(points) == lattice_rank_and_index_brute(rows, len(points[0]))[0]
 
 
 # ---------------------------------------------------------------------------
