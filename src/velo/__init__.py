@@ -46,7 +46,6 @@ from .geometry import (
     polytope_distance_inf,
     polytope_from_json,
     polytope_to_dict,
-    satisfies_facets,
 )
 from .graph import (
     DisplacementGraph,
@@ -123,7 +122,6 @@ __all__ = [
     "polytope_svg",
     "polytope_to_dict",
     "realize",
-    "satisfies_facets",
     "schedule",
     "schedule_totals",
     "serialize_dgf",

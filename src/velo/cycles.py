@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import BudgetError
-from .graph import Contraction, DisplacementGraph, IntVec
+from .graph import DisplacementGraph, IntVec
 
 Path = tuple[int, ...]
 
@@ -78,7 +78,7 @@ def core_cycles(core: DisplacementGraph, chains: Sequence[Sequence[int]] | None,
     alone when ``chains`` is None); let low[j] be the least of them.  Each
     edge in turn, by ascending low, roots a search and then leaves the
     graph, so a cycle starts at its edge of least low, and the stream comes
-    in the sorted order of what it unfolds to (``unfolded_cycles``), since
+    in the sorted order of what it unfolds to (``_unfold``), since
     ``contract_chains`` numbers each vertex's out-edges by the first ids of
     their chains.  The (max_cycles + 1)-th cycle raises BudgetError naming
     its component.
@@ -164,18 +164,8 @@ def core_cycles(core: DisplacementGraph, chains: Sequence[Sequence[int]] | None,
         searched.add(e0)
 
 
-def unfolded_cycles(
-    g: DisplacementGraph, fold: Contraction | None, max_cycles: int
-) -> Iterator[Path]:
-    """The simple cycles of ``g`` in its own edge ids, canonical and sorted, from
-    the core of ``fold`` (``g`` itself when None): each core cycle's chains,
-    rotated to start at its first chain's least id, which is its least id."""
-    if fold is None:
-        return core_cycles(g, None, max_cycles)
-    return _unfold(fold.chains, core_cycles(fold.graph, fold.chains, max_cycles))
-
-
 def _unfold(chains: Sequence[Sequence[int]], cycles: Iterator[Path]) -> Iterator[Path]:
+    """Core cycles as their chains' edge ids, each rotated to start at its least id."""
     for cycle in cycles:
         flat = [eid for j in cycle for eid in chains[j]]
         k = flat.index(min(chains[cycle[0]]))
@@ -183,13 +173,13 @@ def _unfold(chains: Sequence[Sequence[int]], cycles: Iterator[Path]) -> Iterator
 
 
 def enumerate_cycles(g: DisplacementGraph) -> tuple[Path, ...]:
-    """All simple cycles, one canonical rotation each, sorted lexicographically.
+    """All simple cycles, one canonical rotation each, sorted lexicographically:
+    ``GraphAnalysis(g).cycles`` under the default cycle budget, past which it raises
+    BudgetError and returns nothing.  Self-loops are length-1 cycles and parallel
+    edges yield distinct cycles."""
+    from .invariants import GraphAnalysis  # velo.invariants imports this module
 
-    Self-loops are length-1 cycles and parallel edges yield distinct cycles.
-    They stream from the graph's chain fold against the default cycle budget;
-    exceeding it raises BudgetError and no partial result is returned.
-    """
-    return tuple(unfolded_cycles(g, g._contraction, DEFAULT_MAX_CYCLES))
+    return GraphAnalysis(g).cycles
 
 
 def basic_velocities(g: DisplacementGraph) -> tuple[tuple[Fraction, ...], ...]:
@@ -289,31 +279,28 @@ class CycleDecomposition:
 
 
 def decompose_path(g: DisplacementGraph, path: Sequence[int]) -> CycleDecomposition:
-    """Repeatedly excise the earliest-closing cycle until the path is shorter than |V|.
+    """Excise the earliest-closing cycle, left to right, until the path left is shorter than |V|.
 
-    Each pass scans for the smallest index l whose edge target revisits an
-    earlier source; the cycle between the two is removed and the surrounding
-    pieces recompose.  Length and displacement are conserved exactly across
-    the decomposition.
+    What is read and not cut is a simple path, a stack with each source's
+    position; an edge whose target is one of them cuts the cycle above it.  The
+    remainder, the stack and the unread edges, may still hold a cycle.  Length
+    and displacement are conserved exactly across the decomposition.
     """
     _check_path(g, path)
-    n_vertices = len(g.vertices)
-    remaining = list(path)
+    edges, n_vertices = g.edges, len(g.vertices)
+    stack: list[int] = []
+    position: dict[int, int] = {}
     cycles: list[Path] = []
-    while len(remaining) >= n_vertices:
-        first_source: dict[int, int] = {}
-        cut: tuple[int, int] | None = None
-        for i, eid in enumerate(remaining):
-            src = g.edges[eid].source
-            if src not in first_source:
-                first_source[src] = i
-            tgt = g.edges[eid].target
-            if tgt in first_source:
-                cut = (first_source[tgt], i)
-                break
-        if cut is None:  # impossible by pigeonhole once len(remaining) >= |V|
-            raise AssertionError("no cycle found in a path of length >= |V|")
-        k, l = cut
-        cycles.append(canonical_rotation(remaining[k : l + 1]))
-        del remaining[k : l + 1]
-    return CycleDecomposition(tuple(cycles), tuple(remaining))
+    for i, eid in enumerate(path):
+        if len(stack) + len(path) - i < n_vertices:
+            return CycleDecomposition(tuple(cycles), (*stack, *path[i:]))
+        source, target, _ = edges[eid]
+        position[source] = len(stack)
+        stack.append(eid)
+        k = position.get(target)
+        if k is not None:
+            cycles.append(canonical_rotation(stack[k:]))
+            for cut in stack[k:]:
+                del position[edges[cut].source]
+            del stack[k:]
+    return CycleDecomposition(tuple(cycles), tuple(stack))

@@ -40,28 +40,21 @@ def empirical_velocity(g: DisplacementGraph, prefix: Sequence[int]) -> QVec:
 
 
 def _shortest_quotient_path(g: DisplacementGraph, start: int, goal: int) -> Path:
-    """BFS shortest path, expanding edges in ascending id order for determinism."""
-    if start == goal:
-        return ()
+    """BFS shortest path, expanding edges in ascending id order for determinism, until
+    the goal has a parent, which ``build_plan``'s strong connectivity check guarantees."""
     parent: dict[int, int] = {start: -1}
     queue: deque[int] = deque([start])
-    while queue:
-        v = queue.popleft()
-        for eid in g.out_edges(v):
+    while goal not in parent:
+        for eid in g.out_edges(queue.popleft()):
             w = g.edges[eid].target
             if w not in parent:
                 parent[w] = eid
-                if w == goal:
-                    path: list[int] = []
-                    while w != start:
-                        eid = parent[w]
-                        path.append(eid)
-                        w = g.edges[eid].source
-                    return tuple(reversed(path))
                 queue.append(w)
-    raise NotStronglyConnectedError(
-        f"no path from {g.vertices[start]!r} to {g.vertices[goal]!r}"
-    )
+    path: list[int] = []
+    while goal != start:
+        path.append(parent[goal])
+        goal = g.edges[path[-1]].source
+    return tuple(reversed(path))
 
 
 def build_plan(

@@ -389,14 +389,6 @@ def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
     return set(both.vertices) <= set(outer.vertices)
 
 
-def satisfies_facets(p: Polytope, x: Sequence) -> bool | None:
-    """Facet-side membership check; None when no facet representation exists."""
-    if p.facets is None:
-        return None
-    q = as_qvec(x, p.dim)
-    return all(sum(n * c for n, c in zip(f.normal, q)) <= f.offset for f in p.facets)
-
-
 def gauge_norm(p: Polytope, x: Sequence) -> Fraction | None:
     """Minkowski gauge min{t >= 0 : x in t*K} of K = conv(P and the origin).
 
@@ -436,13 +428,11 @@ def polytope_distance_inf(p: Polytope, x: Sequence) -> Fraction:
 
     P + t*[-1, 1]^d has the same normals for every t > 0, and a facet a.y <= b
     of P + [-1, 1]^d has b = h_P(a) + |a|_1, so x lies in it iff a.x <= b + (t-1)|a|_1.
-    A point on the inner side of every facet of P is at distance 0 without that hull.
+    The distance is the least such t >= 0, so 0 for x in P, flat or not.
     """
     if p.is_empty:
         raise ValueError("distance to the empty polytope is undefined")
     q = as_qvec(x, p.dim)
-    if satisfies_facets(p, q):  # None for a flat P
-        return _ZERO
     corners = list(product((-1, 1), repeat=p.dim))
     thick = convex_hull([tuple(c + s for c, s in zip(v, cs)) for v in p.vertices for cs in corners])
     dist = _ZERO

@@ -12,9 +12,9 @@ from .cycles import (
     DEFAULT_MAX_CYCLES,
     Path,
     _displacement_sum,
+    _unfold,
     core_cycles,
     max_ratio_cycle,
-    unfolded_cycles,
 )
 from .errors import NotStronglyConnectedError
 from .geometry import Polytope, _holds_origin_inside, origin_in_hull_interior, polytope_from_support
@@ -110,12 +110,14 @@ class GraphAnalysis:
         return self.cycle_pairs.total()
 
     def cycle_stream(self) -> Iterator[Path]:
-        """The graph's simple cycles in its own edge ids, as ``enumerate_cycles`` lists them."""
-        return unfolded_cycles(self.graph, self._contraction, self.max_cycles)
+        """The graph's simple cycles in its own edge ids, canonical and sorted, from ``core``'s."""
+        c = self._contraction
+        stream = core_cycles(self.core, c and c.chains, self.max_cycles)
+        return stream if c is None else _unfold(c.chains, stream)
 
     @cached_property
     def cycles(self) -> tuple[Path, ...]:
-        """The graph's simple cycles as edge-id tuples, in ``cycle_stream`` order."""
+        """The whole ``cycle_stream`` as a tuple, which ``enumerate_cycles`` returns."""
         return tuple(self.cycle_stream())
 
     @cached_property

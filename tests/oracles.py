@@ -1,12 +1,13 @@
 """Independent brute-force oracles used to validate the production algorithms.
 
 Nothing here shares code paths with the library: cycles come from plain DFS,
-strongly connected components from mutual reachability, DGF text from a
-token-by-token reading of the grammar, window distances from a BFS over
-(vertex, coordinates) tuples, lattice ranks and indices from minors, and
-membership, gauge values, max-norm distances, facets and radii come from
-enumerating small point subsets and solving exact linear systems, never from
-the simplex solver or the hull.
+strongly connected components from mutual reachability, path decompositions
+from rescanning the walk after every cut, shortest quotient paths from a BFS
+over the edge list, DGF text from a token-by-token reading of the grammar,
+window distances from a BFS over (vertex, coordinates) tuples, lattice ranks
+and indices from minors, and membership, gauge values, max-norm distances,
+facets and radii come from enumerating small point subsets and solving exact
+linear systems, never from the simplex solver or the hull.
 """
 from __future__ import annotations
 
@@ -41,6 +42,43 @@ def brute_cycles(g: DisplacementGraph) -> list[tuple[int, ...]]:
     for eid in range(len(g.edges)):
         extend([eid], frozenset({g.edges[eid].source}))
     return sorted(found)
+
+
+def decompose_restart_scan(g: DisplacementGraph, path: Sequence[int]):
+    """(cycles, remainder) of a composing walk: while at least |V| edges are left,
+    rescan them from the start for the first edge whose target is an earlier
+    source, and cut out the cycle between the two, as its least rotation."""
+    remaining, cycles = list(path), []
+    while len(remaining) >= len(g.vertices):
+        first_source: dict[int, int] = {}
+        for i, eid in enumerate(remaining):
+            first_source.setdefault(g.edges[eid].source, i)
+            k = first_source.get(g.edges[eid].target)
+            if k is not None:
+                break
+        piece = remaining[k:i + 1]
+        cycles.append(min(tuple(piece[j:] + piece[:j]) for j in range(len(piece))))
+        del remaining[k:i + 1]
+    return cycles, tuple(remaining)
+
+
+def bfs_path(g: DisplacementGraph, start: int, goal: int) -> tuple[int, ...]:
+    """A shortest walk from start to goal as edge ids: a BFS that scans the whole
+    edge list in ascending id order at each vertex and gives each vertex the first
+    edge found into it as its parent, then walks the goal's parents back."""
+    parent = {start: -1}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for eid, e in enumerate(g.edges):
+            if e.source == v and e.target not in parent:
+                parent[e.target] = eid
+                queue.append(e.target)
+    path = []
+    while goal != start:
+        path.append(parent[goal])
+        goal = g.edges[path[-1]].source
+    return tuple(reversed(path))
 
 
 def brute_sccs(g: DisplacementGraph) -> tuple[tuple[int, ...], ...]:

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
 )
 from velo import (
     DisplacementGraph,
+    Edge,
     convex_hull,
     enumerate_cycles,
     parse_dgf,
@@ -285,19 +287,19 @@ def test_simulate_counts_past_its_indices_under_the_budget(fixture_files, capsys
 
 
 def test_simulate_reads_only_the_cycles_it_needs(tmp_path, capsys, monkeypatch):
-    import velo.cycles
+    import velo.invariants
 
     # sq 8x8 has far more simple cycles than the cycle budget
     path = tmp_path / "sq_8x8.dgf"
     path.write_text(nets.dgf_text(nets.supercell(nets.BASE["sq"], (8, 8))))
-    original, read = velo.cycles.core_cycles, []
+    original, read = velo.invariants.core_cycles, []
 
     def counting(*args, **kwargs):
         for cycle in original(*args, **kwargs):
             read.append(cycle)
             yield cycle
 
-    monkeypatch.setattr(velo.cycles, "core_cycles", counting)
+    monkeypatch.setattr(velo.invariants, "core_cycles", counting)
     code, out, err = run_cli(
         ["simulate", str(path), "--weights", "1/2,1/2", "--kmax", "64"], capsys
     )
@@ -557,7 +559,40 @@ def test_report_json_matches_the_oracles(tmp_path, capsys, seed, strong):
     path.write_text(serialize_dgf(g))
     code, out, err = run_cli(["report", str(path), "--json"], capsys)
     assert (code, err) == (0, "")
-    payload = json.loads(out)
+    _check_report(g, json.loads(out))
+
+
+def _scope_graphs():
+    """Every graph of two small scopes: one vertex with 1-3 loops in the plane,
+    displacements in {-1, 0, 1}^2 (219 graphs), and two vertices with 1-4 edges
+    on the line, displacements in {-1, 0, 1} (1,819 edge multisets)."""
+    loops = [Edge(0, 0, d) for d in product((-1, 0, 1), repeat=2)]
+    for k in range(1, 4):
+        for edges in combinations_with_replacement(loops, k):
+            yield DisplacementGraph(2, ("A",), edges)
+    arcs = [Edge(s, t, (d,)) for s in range(2) for t in range(2) for d in (-1, 0, 1)]
+    for k in range(1, 5):
+        for edges in combinations_with_replacement(arcs, k):
+            yield DisplacementGraph(1, ("A", "B"), edges)
+
+
+def test_report_json_matches_the_oracles_on_every_graph_of_a_small_scope(tmp_path, capsys):
+    path, count = tmp_path / "g.dgf", 0
+    for g in _scope_graphs():
+        path.write_text(serialize_dgf(g))
+        code, out, err = run_cli(["report", str(path), "--json"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        _check_report(g, payload)
+        code, out, err = run_cli(["cycles", str(path), "--json"], capsys)
+        # the report's count, which _check_report holds to brute_cycles
+        assert (code, err, json.loads(out)["count"]) == (0, "", payload["cycles"])
+        count += 1
+    assert count == 219 + 1819
+
+
+def _check_report(g, payload):
+    """Every field of a report --json payload against tests/oracles.py."""
     cycles = brute_cycles(g)
     disps = [tuple(map(sum, zip(*(g.edges[e].displacement for e in c)))) for c in cycles]
     velocities = sorted({tuple(F(x, len(c)) for x in d) for c, d in zip(cycles, disps)})

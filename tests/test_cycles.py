@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import random_gauge, random_graph, random_strongly_connected_graph, random_walk
-from oracles import brute_cycles
+from oracles import brute_cycles, decompose_restart_scan
 from velo import (
     BudgetError,
     DisplacementGraph,
@@ -289,3 +289,26 @@ def test_decompose_conservation_and_bounds():
 def test_decompose_invalid_path(honeycomb):
     with pytest.raises(ValueError):
         decompose_path(honeycomb, (0, 1))
+
+
+@st.composite
+def walks_on_a_graph(draw):
+    """A random strongly connected graph of up to 7 vertices and 20 random walks
+    of up to 80 edges on it, each from a random vertex."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g = random_strongly_connected_graph(rng, max_vertices=7, max_extra_edges=8)
+    return g, [random_walk(g, rng, rng.randint(0, 80), start=rng.randrange(len(g.vertices)))
+               for _ in range(20)]
+
+
+# |V| = 3 and the walk A->B, B->A, A->A: A->B->A is cut, which leaves one edge, the loop A->A
+LOOP_LEFT_OVER = parse_dgf("dim 1\nvertex A\nvertex B\nvertex C\nedge A B 1\nedge B A 0\nedge A A 1")
+
+
+@given(walks_on_a_graph())
+@example((LOOP_LEFT_OVER, [(0, 1, 2)]))
+def test_decompose_path_matches_the_restart_scan(case):
+    g, walks = case
+    for walk in walks:
+        dec = decompose_path(g, walk)
+        assert (list(dec.cycles), dec.remainder) == decompose_restart_scan(g, walk)

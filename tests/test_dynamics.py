@@ -5,14 +5,17 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import random_gauge, random_strongly_connected_graph, random_walk
+from oracles import bfs_path
 from velo import (
     BudgetError,
+    DisplacementGraph,
     NotStronglyConnectedError,
     TrajectoryPlan,
     build_plan,
@@ -119,6 +122,23 @@ def test_plan_connectors_short_and_composing():
             assert len(conn) < len(g.vertices)
         prefix = schedule(plan, 6)
         path_displacement(g, prefix)  # raises if anything fails to compose
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_plan_connectors_match_a_reference_bfs(seed):
+    # copies of random edges, shuffled in with the rest, so parallel edges come in either id order
+    rng = random.Random(seed)
+    g = random_strongly_connected_graph(rng, max_vertices=7, max_extra_edges=8)
+    edges = [*g.edges, *(rng.choice(g.edges) for _ in range(rng.randint(1, 4)))]
+    rng.shuffle(edges)
+    g = DisplacementGraph(g.dim, g.vertices, tuple(edges))
+    based = []  # a simple cycle based at each vertex: a random out-edge, then the way back
+    for u in range(len(g.vertices)):
+        first = rng.choice(g.out_edges(u))
+        based.append((first, *bfs_path(g, g.edges[first].target, u)))
+    for u, v in product(range(len(g.vertices)), repeat=2):
+        plan = build_plan(g, [(based[u], F(1, 2)), (based[v], F(1, 2))])
+        assert plan.connectors == (bfs_path(g, u, v), bfs_path(g, v, u))
 
 
 # ---------------------------------------------------------------------------

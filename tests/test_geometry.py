@@ -33,7 +33,6 @@ from velo import (
     polytope_distance_inf,
     polytope_from_json,
     polytope_to_dict,
-    satisfies_facets,
 )
 
 F = Fraction
@@ -258,7 +257,7 @@ def test_membership_routes_agree():
             continue
         for q in random_rational_points(rng, d, 12, max_num=8, max_den=3):
             inside = _member(p, q)
-            assert satisfies_facets(p, q) == inside
+            assert (polytope_distance_inf(p, q) == 0) == inside
             assert member_caratheodory(q, p.vertices) == inside
 
 
@@ -592,6 +591,6 @@ def test_hull_and_membership_4d_cross_polytope():
     rng = random.Random(24)
     for _ in range(10):
         q = tuple(F(rng.randint(-3, 3), 2) for _ in range(4))
-        assert satisfies_facets(p, q) == _member(p, q)
+        assert (polytope_distance_inf(p, q) == 0) == _member(p, q)
     assert _member(p, (F(1, 4),) * 4)
     assert not _member(p, (F(1, 2),) * 4)
