@@ -376,46 +376,37 @@ def gauge_transform(
     return DisplacementGraph(g.dim, g.vertices, new_edges)
 
 
-def _window(nv: int, width: int, pads: Sequence[int]) -> tuple[bytearray, list[int]]:
-    """``bfs_distance``'s unseen window and each axis's id stride: each axis repeats the
-    block so far width times between two runs of padding, in one join, so one window."""
-    seen, strides = bytearray(nv), []
-    for pad in pads:
-        strides.append(len(seen))
-        side = b"\x03" * (len(seen) * pad)
-        seen = bytearray().join([side, *[seen] * width, side])
-    return seen, strides
-
-
-def _one_sided(
-    seen: bytearray, moves: list[set[int]], src: int, delta: int, levels: int
-) -> int | None:
+def _one_sided(moves: list[set[int]], src: int, delta: int, levels: int) -> int | None:
     """``bfs_distance``'s mirrored search from ``src`` to ``src + delta``; -1 when
-    ``levels`` levels do not decide it.  Level k marks its nodes 2 - k % 2."""
-    frontier: list[list[int]] = [[] for _ in moves]
-    frontier[src % len(moves)].append(src)
-    seen[src] = 2
+    ``levels`` levels do not decide it.
+
+    The ball is one int per quotient vertex, bit i for the cell ``id // nv - base``;
+    a level ors ``ball[v] << shift`` into ``new[w]`` for each move.  Each level
+    lowers ``base`` by ``down``, the most a move lowers a cell, so every shift is
+    a left one and the ints span only the ball.  From level 2 on, the moves cover
+    the old ball, as every node can step back.  Ball k meets ball k - 1 shifted
+    by |delta| at 2k - 1 and itself at 2k (by the mirror, -delta finds the same).
+    """
+    nv = len(moves)
+    steps = [[((v + off) % nv, (v + off) // nv) for off in offs] for v, offs in enumerate(moves)]
+    down = max([0] + [-shift for row in steps for _, shift in row])
+    steps = [[(w, shift + down) for w, shift in row] for row in steps]
+    ds = abs(delta) // nv
+    ball, size = [0] * nv, 1
+    ball[src % nv] = 1
     for k in range(1, levels + 1):
-        mark, last, even = 2 - k % 2, 1 + k % 2, False
-        nxt: list[list[int]] = [[] for _ in moves]
-        for v, ids in enumerate(frontier):
-            for off in moves[v]:
-                out = nxt[(v + off) % len(moves)]
-                for nid in ids:
-                    t = nid + off
-                    if not seen[t]:
-                        seen[t] = mark
-                        out.append(t)
-                        # partners are never padding: p is mark, last or both
-                        if p := seen[t - delta] | seen[t + delta]:
-                            if p & last:
-                                return 2 * k - 1
-                            even = True
-        if even:
+        new = [b << down for b in ball] if k == 1 else [0] * nv
+        for v, row in enumerate(steps):
+            if b := ball[v]:
+                for w, shift in row:
+                    new[w] |= b << shift
+        if any((n >> (ds + down)) & b for n, b in zip(new, ball)):
+            return 2 * k - 1
+        if any((n >> ds) & n for n in new):
             return 2 * k
-        if not any(nxt):
+        if (grown := sum(n.bit_count() for n in new)) == size:
             return None
-        frontier = nxt
+        ball, size = new, grown
     return -1
 
 
@@ -436,33 +427,30 @@ def bfs_distance(
     ``budget``.  Unreachable within the window is an upper-bound artifact:
     the full periodic graph may still connect the two nodes outside it.
 
-    The search runs from both ends (Pohl 1971), one whole level of the smaller
-    frontier at a time, over one byte of seen flags per node in its own
-    layout: vertex index fastest, then the coordinates, each axis padded on
-    both sides by the largest |displacement| on that axis, and built axis by
-    axis, already in its final state.  Bit 1 marks nodes reached from the
-    source, bit 2 nodes reached backwards from the target, and the padding
-    starts out as 3, so a step either way that leaves the window lands on a
-    seen byte and every edge is a fixed id offset with no bounds test.  An
-    edge with some |displacement| > 2 * radius can never stay inside the
-    window and is dropped, which keeps the padding at most 2 * radius per side.
-
-    The first node one side reaches that the other has seen gives the
-    distance, the sum of both depths: before that level no node within
-    forward depth k and backward depth b was seen by both, so the distance
-    exceeds k + b.  An empty frontier on either side means no path.
+    Node ids put the vertex index fastest, then the coordinates, each axis
+    padded on both sides by the largest |displacement| on that axis, so every
+    edge is a fixed id offset.  An edge with some |displacement| > 2 * radius
+    can never stay inside the window and is dropped, which keeps the padding
+    at most 2 * radius per side.
 
     Only the source's side runs when (a) both endpoints sit on one vertex
     and (b) each vertex's forward moves are its backward ones: then
     d(a, b) = d(b, a), and by translation the target's backward ball is the
-    source's ball shifted by delta = t - s.  While (c)
+    source's ball shifted by delta = t - s.  ``_one_sided`` grows that ball
+    as bitsets and builds no window.  While (c)
     k * pad_j + max(|s_j|, |t_j|, |2 s_j - t_j|) <= radius on every axis j
     at the level k expanded, no ball it reads (of s, t or s - delta) is
-    clipped.  A new node whose partner at -delta or +delta bears the last
-    level's parity mark gives 2k - 1, and this level's 2k once the level is
-    done; a partner from an older level would be a walk shorter than a level
-    already ruled out.  If (c) fails first, the window is dropped and both
-    sides run on a new one.
+    clipped.  If (c) fails first, both sides run.
+
+    Only the search from both ends (Pohl 1971) builds the window: a seen byte
+    per node, axis by axis, in its final state.  Bit 1 marks nodes reached from
+    the source, bit 2 nodes reached backwards from the target, and padding 3,
+    so a step either way that leaves the window lands on a seen byte with no
+    bounds test.  One whole level of the smaller frontier runs at a time; the
+    first node one side reaches that the other has seen gives the distance,
+    the sum of both depths: before that level no node within forward depth k
+    and backward depth b was seen by both, so the distance exceeds k + b.  An
+    empty frontier on either side means no path.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -475,7 +463,9 @@ def bfs_distance(
             raise ValueError(f"endpoint {endpoint!r} is outside the patch")
     edges = [e for e in g.edges if inf_norm(e.displacement) <= 2 * r]
     pads = [max((abs(e.displacement[j]) for e in edges), default=0) for j in range(g.dim)]
-    seen, strides = _window(nv, width, pads)
+    strides = [nv]
+    for pad in pads[:-1]:
+        strides.append(strides[-1] * (width + 2 * pad))
 
     def node(v: int, coords: Sequence[int]) -> int:
         return v + sum(s * (c + r + p) for s, c, p in zip(strides, coords, pads))
@@ -495,10 +485,12 @@ def bfs_distance(
         levels = min((s // p for s, p in zip(slack, pads) if p), default=size)
         if min(slack) < 0:  # on an axis no edge moves along
             levels = 0
-        if (dist := _one_sided(seen, moves[0], src, dst - src, levels)) != -1:
+        if (dist := _one_sided(moves[0], src, dst - src, levels)) != -1:
             return dist
-        del seen  # hold one window at a time
-        seen = _window(nv, width, pads)[0]
+    seen = bytearray(nv)
+    for pad in pads:  # the block so far, width times between two runs of padding, in one join
+        side = b"\x03" * (len(seen) * pad)
+        seen = bytearray().join([side, *[seen] * width, side])
     seen[src], seen[dst] = 1, 2
     # one frontier list per quotient vertex, so each move runs over a whole list
     frontiers: list[list[list[int]]] = [[[] for _ in range(nv)] for _ in range(2)]

@@ -4,7 +4,8 @@ Nothing here shares code paths with the library: cycles come from plain DFS,
 strongly connected components from mutual reachability, path decompositions
 from rescanning the walk after every cut, shortest quotient paths from a BFS
 over the edge list, DGF text from a token-by-token reading of the grammar,
-window distances from a BFS over (vertex, coordinates) tuples, lattice ranks
+window distances from a BFS over (vertex, coordinates) tuples, the mirrored
+one-sided search from a seen byte per node of its own window, lattice ranks
 and indices from minors, and membership, gauge values, max-norm distances,
 facets and radii come from enumerating small point subsets and solving exact
 linear systems, never from the simplex solver or the hull.
@@ -184,6 +185,48 @@ def bfs_window(
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return None
+
+
+def one_sided_bytes(
+    width: int, pads: Sequence[int], moves: Sequence[set[int]], src: int, delta: int, levels: int
+) -> int | None:
+    """The mirrored one-sided search over one seen byte per node, as ``bfs_distance``
+    ran it before its ball became bitsets: the same arguments, the same answers.
+
+    The window is ``bfs_distance``'s layout (vertex index fastest, each axis of
+    ``width`` cells padded by ``pads`` on both sides, padding marked seen); each
+    new node at level k is checked against both t - delta and t + delta, whose
+    seen bytes mark levels by parity: the last level's mark gives 2k - 1 and this
+    level's 2k; -1 when ``levels`` levels do not decide it.
+    """
+    seen = bytearray(len(moves))
+    for pad in pads:
+        side = bytearray(b"\x03") * (len(seen) * pad)
+        seen = side + seen * width + side
+    frontier: list[list[int]] = [[] for _ in moves]
+    frontier[src % len(moves)].append(src)
+    seen[src] = 2
+    for k in range(1, levels + 1):
+        mark, last, even = 2 - k % 2, 1 + k % 2, False
+        nxt: list[list[int]] = [[] for _ in moves]
+        for v, ids in enumerate(frontier):
+            for off in moves[v]:
+                out = nxt[(v + off) % len(moves)]
+                for nid in ids:
+                    t = nid + off
+                    if not seen[t]:
+                        seen[t] = mark
+                        out.append(t)
+                        if p := seen[t - delta] | seen[t + delta]:
+                            if p & last:
+                                return 2 * k - 1
+                            even = True
+        if even:
+            return 2 * k
+        if not any(nxt):
+            return None
+        frontier = nxt
+    return -1
 
 
 def solve_exact(

@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,7 @@ from helpers import (
     random_graph,
     random_walk,
 )
-from oracles import bfs_window, reference_dgf
+from oracles import bfs_window, one_sided_bytes, reference_dgf
 from velo import (
     BudgetError,
     DgfError,
@@ -464,15 +465,15 @@ def test_bfs_matches_tuple_bfs(case):
 
 
 @st.composite
-def mirrored_windows(draw):
-    """A graph with at most 3 vertices in d = 1..2 whose edges come each with its
-    reverse, a window radius of 1..6, a source within half the radius of the
-    centre and a target on the source's vertex.
+def mirrored_windows(draw, max_dim=2):
+    """A graph with at most 3 vertices in d = 1..max_dim whose edges come each
+    with its reverse, a window radius of 1..6, a source within half the radius
+    of the centre and a target on the source's vertex.
 
     Such pairs take the one-sided search of ``bfs_distance``, and a target far
     enough out runs past its bound and falls back to the two-sided search.
     """
-    dim = draw(st.integers(1, 2))
+    dim = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, 3))
     radius = draw(st.integers(1, 6))
     vertex = st.integers(0, n - 1)
@@ -508,6 +509,36 @@ def _mirrored(*edges):
 def test_bfs_on_mirrored_graphs_matches_tuple_bfs(case):
     g, radius, source, target = case
     assert bfs_distance(g, radius, source, target) == bfs_window(g, radius, source, target)
+
+
+@settings(max_examples=400)
+@given(mirrored_windows(max_dim=3))
+# a target below the source: 4 at the second level, on two axes with the row stride
+@example((_loops((1, 0), (-1, 0), (0, 1), (0, -1)), 6, (0, (1, 1)), (0, (0, -2))))
+# a two-vertex cell whose every move changes vertex, in d = 3 with the plane stride: 4
+@example((parse_dgf(DIAMOND_DGF), 6, (0, (0, 0, 0)), (0, (1, 1, 0))))
+# the ball stops at {A0, B0} on two vertices: unreachable
+@example((_mirrored((0, 1, 0)), 3, (0, (0,)), (0, (1,))))
+# the bound allows 9 levels of the 18 needed: -1, then 36 from the two-sided search
+@example((parse_dgf(DIAMOND_DGF), 36, (0, (9, 0, 0)), (0, (-9, 0, 0))))
+def test_bit_search_matches_the_byte_search(case):
+    import velo.graph
+
+    g, radius, source, target = case
+    original, made = velo.graph._one_sided, []
+
+    def recording(*args):
+        made.append((args, original(*args)))
+        return made[-1][1]
+
+    with mock.patch.object(velo.graph, "_one_sided", recording):
+        dist = bfs_distance(g, radius, source, target)
+    assert dist == bfs_window(g, radius, source, target)
+    assert len(made) == (source != target)  # every mirrored pair but 0 takes the one-sided path
+    edges = [e for e in g.edges if max(map(abs, e.displacement)) <= 2 * radius]
+    pads = [max((abs(e.displacement[j]) for e in edges), default=0) for j in range(g.dim)]
+    for args, value in made:
+        assert value == one_sided_bytes(2 * radius + 1, pads, *args)
 
 
 def test_bfs_memory_ignores_edges_that_leave_every_window():
@@ -581,14 +612,33 @@ def test_oracle_holds_one_window_at_a_time():
     assert peak < 1.3 * window
 
 
-# the walks benchmark's largest n per base cell; the bound k * pad + |t| <= radius
+def test_one_sided_oracle_builds_no_window():
+    # the one-sided search answers from its bitset ball and never builds the
+    # 2 * 75**3 seen bytes of test_oracle_holds_one_window_at_a_time's window
+    g = parse_dgf(DIAMOND_DGF)
+    window = 2 * 75**3
+    tracemalloc.start()
+    try:
+        value = gamma_norm_oracle(g, (1, 1, 0), 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 4
+    assert peak < 0.5 * window
+
+
+# the walks benchmark's largest n per base cell, and the images with negative
+# entries that its deck draws; the bound k * pad + max(|t|, |2s - t|) <= radius
 # holds at the meeting level: sq 3.5n <= 4n, hc 4n <= 4n, cub 2n <= 3n, dia 3n <= 3n
 @pytest.mark.parametrize("text, x, n, value", [
     (SQUARE_DGF, (2, 1), 64, 3),
+    (SQUARE_DGF, (-1, 2), 64, 3),
     (HONEYCOMB_DGF, (2, 1), 64, 4),
+    (HONEYCOMB_DGF, (-2, -1), 64, 4),
     (CUBIC_DGF, (1, 1, 0), 12, 2),
     (DIAMOND_DGF, (1, 1, 0), 12, 4),
-], ids=["sq", "hc", "cub", "dia"])
+    (DIAMOND_DGF, (0, -1, -1), 12, 4),
+], ids=["sq", "sq-neg", "hc", "hc-neg", "cub", "dia", "dia-neg"])
 def test_oracle_on_base_cells_grows_one_ball(text, x, n, value, monkeypatch):
     import velo.graph
 
