@@ -8,10 +8,12 @@ is traversed k times, so the mixture error decays like 1/k.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
+from operator import mul
 from typing import Sequence
 
 from .cycles import Path, is_cycle, path_displacement
@@ -20,6 +22,7 @@ from .geometry import Polytope, QVec, polytope_distance_inf
 from .graph import DisplacementGraph, IntVec, strongly_connected_components
 
 DEFAULT_PREFIX_BUDGET = 10_000_000
+_STAGE_BLOCK = 1024  # stages per block of the repeat columns
 
 
 @dataclass(frozen=True)
@@ -94,26 +97,33 @@ def build_plan(
 def _stage_repeats(
     plan: TrajectoryPlan, k_max: int, budget: int
 ) -> tuple[list[list[int]], int]:
-    """Per stage, how often each planned cycle repeats; and the walk's length.
+    """Per planned cycle, how often it repeats at stages 1..k_max; and the walk's length.
 
-    Raises BudgetError at the first stage whose running total exceeds the budget.
+    The columns grow ``_STAGE_BLOCK`` stages at a time, each stage's length
+    summed across them; a BudgetError names the first stage whose running
+    total exceeds the budget, so no block past it is built.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     connector_length = sum(map(len, plan.connectors))
+    # floor(k * weight / length) = k * p // q
+    ratios = [(w.numerator, w.denominator * len(c)) for c, w in plan.cycles]
+    lengths = [len(c) for c, _ in plan.cycles]
+    columns: list[list[int]] = [[] for _ in ratios]
     total = 0
-    stage_repeats: list[list[int]] = []
-    for k in range(1, k_max + 1):
-        # floor(k * weight / length)
-        repeats = [k * w.numerator // (w.denominator * len(c)) for c, w in plan.cycles]
-        length = sum(a * len(c) for a, (c, _) in zip(repeats, plan.cycles))
-        total += k * (length + connector_length)
-        if total > budget:
+    for start in range(1, k_max + 1, _STAGE_BLOCK):
+        ks = range(start, min(start + _STAGE_BLOCK, k_max + 1))
+        block = [[k * p // q for k in ks] for p, q in ratios]
+        stages = (k * (sum(map(mul, a, lengths)) + connector_length) for k, a in zip(ks, zip(*block)))
+        totals = list(accumulate(stages, initial=total))
+        if (total := totals[-1]) > budget:
+            k = start - 1 + bisect_right(totals, budget)
             raise BudgetError(
                 f"scheduled prefix would exceed the budget of {budget} edges at stage {k}"
             )
-        stage_repeats.append(repeats)
-    return stage_repeats, total
+        for column, part in zip(columns, block):
+            column.extend(part)
+    return columns, total
 
 
 def schedule(
@@ -125,9 +135,9 @@ def schedule(
     floor(k * weight_i / length_i) times followed by connector i.  The result
     composes in the quotient graph because every cycle is closed.
     """
-    stage_repeats, _ = _stage_repeats(plan, k_max, budget)
+    columns, _ = _stage_repeats(plan, k_max, budget)
     blocks: list[list[int]] = []
-    for repeats in stage_repeats:
+    for repeats in zip(*columns):
         block: list[int] = []
         for i, ((cycle, _), count) in enumerate(zip(plan.cycles, repeats)):
             block.extend(cycle * count)
@@ -145,16 +155,17 @@ def schedule_totals(
 
     Stage k adds k * (sum_i a_ki * disp(cycle_i) + sum_i disp(connector_i)),
     with a_ki = floor(k * weight_i / length_i) as in ``schedule``, which
-    raises the same BudgetError at the same stage.  Rather than every step of
+    raises the same BudgetError at the same stage; cycle i's count
+    sum_k k * a_ki is taken over its whole column at once.  Rather than every step of
     the walk, the plan is checked: each cycle must close and connector i must
     run from the base of cycle i to the base of the next (ValueError otherwise).
     """
-    stage_repeats, total = _stage_repeats(plan, k_max, budget)
+    columns, total = _stage_repeats(plan, k_max, budget)
     cycles = [c for c, _ in plan.cycles]
     # each cycle twice, so that it closes, then its connector into the next one
     ring = [(*c, *c, *p) for c, p in zip(cycles, plan.connectors, strict=True)]
     path_displacement(g, tuple(chain(*ring, *cycles[:1])))
-    counts = [sum(k * a for k, a in enumerate(column, start=1)) for column in zip(*stage_repeats)]
+    counts = [sum(map(mul, range(1, k_max + 1), column)) for column in columns]
     stages = k_max * (k_max + 1) // 2  # every connector runs once per stage
     parts = [(n, path_displacement(g, path)) for n, path in
              [*zip(counts, cycles), *((stages, p) for p in plan.connectors)]]

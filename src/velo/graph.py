@@ -386,6 +386,9 @@ def _one_sided(moves: list[set[int]], src: int, delta: int, levels: int) -> int 
     a left one and the ints span only the ball.  From level 2 on, the moves cover
     the old ball, as every node can step back.  Ball k meets ball k - 1 shifted
     by |delta| at 2k - 1 and itself at 2k (by the mirror, -delta finds the same).
+    Ball k - 1 lies in ball k, so each level tests the 2k meet, and the 2k - 1 one
+    only once that hits.  The bit count runs at powers of two and the last two
+    levels: one unchanged since the last count means the ball stopped, so no path.
     """
     nv = len(moves)
     steps = [[((v + off) % nv, (v + off) // nv) for off in offs] for v, offs in enumerate(moves)]
@@ -400,13 +403,13 @@ def _one_sided(moves: list[set[int]], src: int, delta: int, levels: int) -> int 
             if b := ball[v]:
                 for w, shift in row:
                     new[w] |= b << shift
-        if any((n >> (ds + down)) & b for n, b in zip(new, ball)):
-            return 2 * k - 1
         if any((n >> ds) & n for n in new):
-            return 2 * k
-        if (grown := sum(n.bit_count() for n in new)) == size:
-            return None
-        ball, size = new, grown
+            return 2 * k - any((n >> (ds + down)) & b for n, b in zip(new, ball))
+        if not k & (k - 1) or k >= levels - 1:
+            if (grown := sum(n.bit_count() for n in new)) == size:
+                return None
+            size = grown
+        ball = new
     return -1
 
 
@@ -437,7 +440,8 @@ def bfs_distance(
     and (b) each vertex's forward moves are its backward ones: then
     d(a, b) = d(b, a), and by translation the target's backward ball is the
     source's ball shifted by delta = t - s.  ``_one_sided`` grows that ball
-    as bitsets and builds no window.  While (c)
+    as bitsets and builds no window, with one meet test per level and a
+    growth test every few.  While (c)
     k * pad_j + max(|s_j|, |t_j|, |2 s_j - t_j|) <= radius on every axis j
     at the level k expanded, no ball it reads (of s, t or s - delta) is
     clipped.  If (c) fails first, both sides run.

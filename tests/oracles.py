@@ -5,7 +5,8 @@ strongly connected components from mutual reachability, path decompositions
 from rescanning the walk after every cut, shortest quotient paths from a BFS
 over the edge list, DGF text from a token-by-token reading of the grammar,
 window distances from a BFS over (vertex, coordinates) tuples, the mirrored
-one-sided search from a seen byte per node of its own window, lattice ranks
+one-sided search from a seen byte per node of its own window, scheduled walk
+totals from one stage at a time with ``math.floor``, lattice ranks
 and indices from minors, and membership, gauge values, max-norm distances,
 facets and radii come from enumerating small point subsets and solving exact
 linear systems, never from the simplex solver or the hull.
@@ -227,6 +228,30 @@ def one_sided_bytes(
             return None
         frontier = nxt
     return -1
+
+
+def stage_totals(
+    g: DisplacementGraph, plan, k_max: int, budget: int
+) -> tuple[int, tuple[int, ...]] | int:
+    """``schedule_totals`` one stage at a time, as ``velo.dynamics`` ran it before it
+    summed its stages in blocks: the walk's length and displacement, or the first
+    stage whose running length exceeds ``budget``.
+
+    Stage k, run k times, holds every connector once and cycle i
+    floor(k * weight_i / length_i) times, taken with ``math.floor`` on a Fraction;
+    each path's displacement is summed from the edge list.
+    """
+    paths = [(p, None) for p in plan.connectors] + list(plan.cycles)
+    moves = [[sum(g.edges[e].displacement[j] for e in p) for j in range(g.dim)] for p, _ in paths]
+    total, moved = 0, [0] * g.dim
+    for k in range(1, k_max + 1):
+        for (path, weight), vec in zip(paths, moves):
+            runs = k * (1 if weight is None else math.floor(k * weight / len(path)))
+            total += runs * len(path)
+            moved = [m + runs * c for m, c in zip(moved, vec)]
+        if total > budget:
+            return k
+    return total, tuple(moved)
 
 
 def solve_exact(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -12,7 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import random_gauge, random_strongly_connected_graph, random_walk
-from oracles import bfs_path
+from oracles import bfs_path, stage_totals
 from velo import (
     BudgetError,
     DisplacementGraph,
@@ -295,6 +296,48 @@ def test_schedule_totals_check_the_plan(honeycomb):
     assert schedule_totals(honeycomb, good, 3) == (
         len(schedule(good, 3)), path_displacement(honeycomb, schedule(good, 3))
     )
+
+
+def _two_cycle_plan(g):
+    cycles = enumerate_cycles(g)
+    return build_plan(g, [(cycles[2], F(1, 3)), (cycles[3], F(2, 3))])
+
+
+# the repeat counts are summed a block of 1,024 stages at a time
+@pytest.mark.parametrize("k_max", [1023, 1024, 1025, 2049])
+def test_schedule_totals_across_stage_blocks(honeycomb, k_max):
+    plan = _two_cycle_plan(honeycomb)
+    expected = stage_totals(honeycomb, plan, k_max, 10**12)
+    assert schedule_totals(honeycomb, plan, k_max, budget=10**12) == expected
+
+
+def test_budget_runs_out_on_either_side_of_a_stage_block(honeycomb):
+    plan = _two_cycle_plan(honeycomb)
+    length = {k: stage_totals(honeycomb, plan, k, 10**12)[0] for k in (1023, 1024, 1025)}
+    budgets = [length[1023], length[1024] - 1, length[1024], length[1025] - 1, length[1025]]
+    stages = [stage_totals(honeycomb, plan, 2049, budget) for budget in budgets]
+    assert stages == [1024, 1024, 1025, 1025, 1026]
+    for budget, stage in zip(budgets, stages):
+        message = f"scheduled prefix would exceed the budget of {budget} edges at stage {stage}"
+        assert _budget_error(schedule_totals, honeycomb, plan, 2049, budget=budget) == message
+        assert _budget_error(schedule, plan, 2049, budget=budget) == message
+
+
+def test_budget_bounds_the_stages_summed_not_k_max(honeycomb):
+    # a k_max of 10**12 must cost no more than the stages up to the one the budget stops
+    plan = _two_cycle_plan(honeycomb)
+    stage = stage_totals(honeycomb, plan, 10**12, 10**5)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        message = _budget_error(schedule_totals, honeycomb, plan, 10**12, budget=10**5)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert message == f"scheduled prefix would exceed the budget of 100000 edges at stage {stage}"
+    assert elapsed < 1
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -521,6 +521,17 @@ def test_bfs_on_mirrored_graphs_matches_tuple_bfs(case):
 @example((_mirrored((0, 1, 0)), 3, (0, (0,)), (0, (1,))))
 # the bound allows 9 levels of the 18 needed: -1, then 36 from the two-sided search
 @example((parse_dgf(DIAMOND_DGF), 36, (0, (9, 0, 0)), (0, (-9, 0, 0))))
+# the bit count runs at k = 1, 2, 4, ... and on the last two levels.  A path of three
+# vertices in one cell stops growing at level 3, which the count at 4 finds (39 levels
+# allowed): None
+@example((_mirrored((0, 1, 0), (1, 2, 0)), 6, (0, (0,)), (0, (1,))))
+# a path of four vertices, each a cell further on, is whole at level 3 = levels - 1:
+# the counts at 3 and 4 agree, where those at 2 and 4 alone would differ, -1 for None
+@example((_mirrored((0, 1, 1), (1, 2, 1), (2, 3, 1)), 5, (0, (0,)), (0, (1,))))
+# level 1 meets itself at (-1, 0) + (1, 1) but not the source: 2, not 1
+@example((_loops((1, 0), (-1, 0), (0, 1), (0, -1)), 3, (0, (0, 0)), (0, (1, 1))))
+# level 2 meets level 1, which level 2 holds too: both tests hit, 3
+@example((_loops((1,), (-1,)), 6, (0, (0,)), (0, (3,))))
 def test_bit_search_matches_the_byte_search(case):
     import velo.graph
 
@@ -597,18 +608,25 @@ def test_oracle_window_holds_the_goal(square):
     assert gamma_norm_oracle(square, (3, 0), 4) == 3
 
 
-def test_oracle_holds_one_window_at_a_time():
-    # radius 12 * (1 + 1 + 1) = 36, each axis padded by 1: 2 * 75**3 seen bytes;
-    # a build that copies the window while it grows would peak near twice that
+def test_oracle_holds_one_window_at_a_time(monkeypatch):
+    # the oracle's radius 12 * (1 + 1 + 1) = 36, each axis padded by 1: 2 * 75**3
+    # seen bytes; a target on the other vertex takes the two-sided search, and a
+    # build that copies the window while it grows would peak near twice that
+    import velo.graph
+
+    def one_sided(*args):
+        raise AssertionError("a target on vertex B takes no one-sided search")
+
+    monkeypatch.setattr(velo.graph, "_one_sided", one_sided)
     g = parse_dgf(DIAMOND_DGF)
     window = 2 * 75**3
     tracemalloc.start()
     try:
-        value = gamma_norm_oracle(g, (1, 1, 0), 12)
+        dist = bfs_distance(g, 36, (0, (0, 0, 0)), (1, (12, 12, 0)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value == 4
+    assert dist == 47
     assert peak < 1.3 * window
 
 
