@@ -3,10 +3,10 @@
 Subcommands cover the whole pipeline: polytope, norm, cycles, simulate,
 realize, check-morphism, anisotropy, report.  Each command with --json builds
 one payload and renders it either as indented JSON or as text lines read off
-that same payload.  All numeric output is exact rational text; exit codes are
-0 (success), 1 (input error), 2 (budget exceeded), 3 (connectivity verdict
-failure).  The VELO_BUDGET environment variable overrides every default
-resource budget at once.
+that same payload.  Every number printed, in JSON, text and SVG labels, is
+the ``str`` of its ``Fraction``; exit codes are 0 (success), 1 (input error),
+2 (budget exceeded), 3 (connectivity verdict failure).  The VELO_BUDGET
+environment variable overrides every default resource budget at once.
 """
 from __future__ import annotations
 
@@ -250,7 +250,8 @@ def cmd_report(args: argparse.Namespace, budgets: Budgets) -> int:
     number of components with a velocity polytope."""
     analysis = _analyze(args.graph, budgets)
     g = analysis.graph
-    count, velocities = analysis.cycle_count, analysis.velocities  # the cycle budget runs out first
+    # read before the report, so that the cycle budget runs out first
+    count, velocities = analysis.cycle_pairs.total(), analysis.velocities
     payload: dict = {
         "vertices": list(g.vertices),
         "edges": len(g.edges),
@@ -353,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), 2)
     except NotStronglyConnectedError as exc:
         return _fail(str(exc), 3)
-    except (VeloError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (VeloError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

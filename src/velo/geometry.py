@@ -23,7 +23,6 @@ QVec = tuple[Fraction, ...]
 Pair = tuple[tuple[int, ...], int]  # (D, T) with T > 0: the rational point D/T
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_qvec(vec: Sequence, dim: int | None = None) -> QVec:
@@ -353,24 +352,21 @@ def polytope_from_support(support: Callable[[tuple[int, ...]], Pair], dim: int) 
 def hull_ring_2d(p: Polytope) -> tuple[QVec, ...]:
     """Vertices of a 2-d polytope in counterclockwise boundary order, from the lex-least one.
 
-    A full-dimensional polygon is walked facet by facet: each facet runs
-    counterclockwise along its normal turned by a quarter turn.
+    The chord from the first sorted vertex to the last splits the others,
+    all extreme so none on it, into the chain right of it, in sorted order,
+    and the one left of it, reversed (Andrew 1979).  A flat polygon's sorted
+    vertices are already its ring.
     """
     if p.dim != 2:
         raise ValueError("boundary rings are only defined for 2-d polytopes")
     if p.facets is None:
         return p.vertices
-    successor = {}
-    for (a, b), offset in p.facets:
-        start, end = sorted(
-            (v for v in p.vertices if a * v[0] + b * v[1] == offset),
-            key=lambda v: a * v[1] - b * v[0],
-        )
-        successor[start] = end
-    ring = [p.vertices[0]]
-    while len(ring) < len(p.vertices):
-        ring.append(successor[ring[-1]])
-    return tuple(ring)
+    (x0, y0), *middle, last = p.vertices
+    dx, dy = last[0] - x0, last[1] - y0
+    left = [dx * (y - y0) > dy * (x - x0) for x, y in middle]
+    lower = [v for v, up in zip(middle, left) if not up]
+    upper = [v for v, up in zip(middle, left) if up]
+    return (p.vertices[0], *lower, last, *reversed(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +462,8 @@ def dimensionality(p: Polytope) -> tuple[int, bool]:
 # anisotropy
 
 
-def _check_metric(metric: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
+def _check_metric(metric: Sequence[Sequence], dim: int) -> tuple[list[list[int]], int]:
+    """The checked metric as integer rows and their common denominator."""
     rows = [[Fraction(v) for v in row] for row in metric]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ValueError(f"metric must be a {dim}x{dim} matrix")
@@ -477,12 +474,12 @@ def _check_metric(metric: Sequence[Sequence], dim: int) -> list[list[Fraction]]:
     # Sylvester's criterion: every leading minor is positive.  While the
     # smaller ones are, eliminating the k x k block swaps no rows, so its
     # last pivot is the k-th leading minor.
-    ints, _ = _integer_rows(rows)
+    ints, scale = _integer_rows(rows)
     for k in range(1, dim + 1):
         _, pivots, last = _reduce([row[:k] for row in ints[:k]])
         if len(pivots) < k or last <= 0:
             raise ValueError("metric must be positive definite")
-    return rows
+    return ints, scale
 
 
 def anisotropy(p: Polytope, metric: Sequence[Sequence] | None = None) -> Anisotropy:
@@ -500,11 +497,10 @@ def anisotropy(p: Polytope, metric: Sequence[Sequence] | None = None) -> Anisotr
     if any(f.offset <= 0 for f in p.facets):
         raise ValueError("anisotropy requires the origin in the interior")
     d = p.dim
-    m = _check_metric(metric, d) if metric is not None else [
-        [_ONE if i == j else _ZERO for j in range(d)] for i in range(d)
-    ]
+    ints, scale = _check_metric(metric, d) if metric is not None else (
+        [[int(i == j) for j in range(d)] for i in range(d)], 1
+    )
     # With M = ints / scale and each vertex y / vscale, x'Mx = y'(ints)y / (vscale^2 scale).
-    ints, scale = _integer_rows(m)
     ys, vscale = _integer_rows(p.vertices)
     top = max(sum(a * sum(map(mul, row, y)) for a, row in zip(y, ints)) for y in ys)
     circum = Fraction(top, vscale * vscale * scale)

@@ -45,7 +45,8 @@ class DisplacementGraph:
     Vertices are addressed by index; names, ASCII identifiers as in DGF, are
     kept for I/O.  Parallel edges and self-loops are permitted and stay
     distinct (an edge's identity is its index in ``edges``).  Instances are
-    immutable and safe to share.
+    immutable and safe to share.  The constructor raises ValueError on any
+    graph ``parse_dgf`` rejects, so ``serialize_dgf``'s text always parses.
     """
 
     dim: int
@@ -427,8 +428,9 @@ def bfs_distance(
     node (v, x) with max-norm of x at most ``radius``; an edge whose
     translated target falls outside it is omitted.  Its node count
     ``len(g.vertices) * (2 * radius + 1) ** g.dim`` must not exceed
-    ``budget``.  Unreachable within the window is an upper-bound artifact:
-    the full periodic graph may still connect the two nodes outside it.
+    ``budget``, or BudgetError is raised.  Unreachable within the window is
+    an upper-bound artifact: the full periodic graph may still connect the
+    two nodes outside it.
 
     Node ids put the vertex index fastest, then the coordinates, each axis
     padded on both sides by the largest |displacement| on that axis, so every

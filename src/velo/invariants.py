@@ -62,11 +62,11 @@ class GraphAnalysis:
     ``polytope_from_support`` asks it as many directions as the polytope has
     facets, and a few more.  The verdict takes its lattice from spanning-tree
     generators and its cone from those polytopes.  Only ``cycles``,
-    ``cycle_stream``, ``cycle_count``, ``cycle_pairs`` and ``velocities``
-    enumerate simple cycles, from one stream on ``core`` that leaves the
-    search canonical and sorted, against the cycle budget; ``cycle_stream``
-    reads it only as far as its caller does, and ``cycle_pairs`` lists one
-    cycle of each reversed pair on a component whose arcs mirror (``_twins``).
+    ``cycle_stream``, ``cycle_pairs`` and ``velocities`` enumerate simple
+    cycles, from one stream on ``core`` that leaves the search canonical and
+    sorted, against the cycle budget; ``cycle_stream`` reads it only as far
+    as its caller does, and ``cycle_pairs`` lists one cycle of each reversed
+    pair on a component whose arcs mirror (``_twins``).
     The oracle budget bounds the relaxations of each support query.
     """
 
@@ -82,7 +82,7 @@ class GraphAnalysis:
         self.oracle_budget = oracle_budget
 
     @cached_property
-    def _contraction(self) -> Contraction | None:
+    def _contraction(self) -> Contraction | None:  # tests' ``Uncontracted`` overrides it
         return self.graph._contraction
 
     @cached_property
@@ -95,19 +95,11 @@ class GraphAnalysis:
     def sccs(self) -> tuple[tuple[int, ...], ...]:
         return strongly_connected_components(self.graph)
 
-    @property
-    def scc_membership(self) -> tuple[int, ...]:
-        return self.graph._comp_of
-
     @cached_property
     def _lengths(self) -> list[int]:
         """How many of the graph's edges each edge of ``core`` stands for."""
         c = self._contraction
         return [1] * len(self.core.edges) if c is None else [len(p) for p in c.chains]
-
-    @property
-    def cycle_count(self) -> int:
-        return self.cycle_pairs.total()
 
     def cycle_stream(self) -> Iterator[Path]:
         """The graph's simple cycles in its own edge ids, canonical and sorted, from ``core``'s."""
@@ -175,7 +167,7 @@ class GraphAnalysis:
             # arcs, so that its relaxation counts stay those its budget names
             inside = sorted(eid for v in comp for eid in core._inside[v])
             if inside:
-                pieces.append((self.scc_membership[kept[comp[0]]], comp, inside))
+                pieces.append((self.graph._comp_of[kept[comp[0]]], comp, inside))
         return tuple(sorted(pieces))  # by the graph's component id
 
     @cached_property
@@ -285,7 +277,7 @@ class GraphAnalysis:
             verdict = VERDICT_QUOTIENT
         return ConnectivityReport(
             scc_count=len(self.sccs),
-            scc_membership=self.scc_membership,
+            scc_membership=g._comp_of,
             cycle_lattice_rank=rank,
             lattice_index=index,
             cone_full=cone_full,

@@ -115,6 +115,44 @@ def test_polytope_components(tmp_path, capsys):
     assert payload["components"][1]["polytope"]["vertices"] == [["-1"]]
 
 
+def _polytope_brute(dim, velocities):
+    """The polytope --json dict of the hull of the velocities, from tests/oracles.py:
+    the sorted ones outside the hull of the others, and their brute-force facets."""
+    vertices = [v for i, v in enumerate(velocities)
+                if not member_caratheodory(v, velocities[:i] + velocities[i + 1:])]
+    out = {"dim": dim, "vertices": [[str(c) for c in v] for v in vertices]}
+    facets = facets_brute(vertices) if vertices else None
+    if facets is not None:
+        out["facets"] = [{"a": list(map(str, a)), "b": str(b)} for a, b in facets]
+    return out
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polytope_json_matches_the_oracles(tmp_path, capsys, seed):
+    # the whole payload, per component on a split quotient, against
+    # tests/oracles.py with no velo code in the reference
+    g = random_graph(random.Random(seed), max_vertices=5)
+    path = tmp_path / "g.dgf"
+    path.write_text(serialize_dgf(g))
+    code, out, err = run_cli(["polytope", str(path), "--json"], capsys)
+    assert (code, err) == (0, "")
+    sccs = brute_sccs(g)
+    velocities = [set() for _ in sccs]  # per component: a cycle stays inside one
+    for cycle in brute_cycles(g):
+        disp = map(sum, zip(*(g.edges[e].displacement for e in cycle)))
+        i = next(i for i, comp in enumerate(sccs) if g.edges[cycle[0]].source in comp)
+        velocities[i].add(tuple(F(x, len(cycle)) for x in disp))
+    if len(sccs) == 1:
+        assert json.loads(out) == _polytope_brute(g.dim, sorted(velocities[0]))
+        return
+    assert json.loads(out) == {"dim": g.dim, "components": [
+        {"scc": i, "vertices": [g.vertices[v] for v in comp],
+         "polytope": _polytope_brute(g.dim, sorted(found))}
+        for i, (comp, found) in enumerate(zip(sccs, velocities)) if found
+    ]}
+
+
 def test_polytope_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.dgf"
     path.write_text("dim 1\nvertex A\nedge A C 0\n")
@@ -613,19 +651,11 @@ def _check_report(g, payload):
     if scc_count > 1:
         assert "polytope" not in payload
         return
-    poly = payload["polytope"]
-    vertices = [tuple(F(c) for c in v) for v in poly["vertices"]]
-    assert poly["vertices"] == [[str(c) for c in v] for v in vertices]
-    # the printed vertices are sorted velocities whose hull holds every
-    # velocity, and none lies in the hull of the others
-    assert vertices == sorted(vertices) and set(vertices) <= set(velocities)
-    assert all(member_caratheodory(v, vertices) for v in velocities)
-    assert not any(member_caratheodory(v, vertices[:i] + vertices[i + 1:])
-                   for i, v in enumerate(vertices))
-    assert poly.get("facets") == (facets and [{"a": list(map(str, a)), "b": str(b)}
-                                             for a, b in facets])
+    poly = _polytope_brute(g.dim, velocities)
+    assert payload["polytope"] == poly
     anisotropy = None
     if cone_full:
+        vertices = [tuple(map(F, v)) for v in poly["vertices"]]
         identity = [[F(int(i == j)) for j in range(g.dim)] for i in range(g.dim)]
         inrad, circum = anisotropy_brute(vertices, identity)
         anisotropy = {"inradius2": str(inrad), "circumradius2": str(circum),

@@ -207,6 +207,10 @@ def point_sets(draw):
 @example([(F(-1), F(0)), (F(1), F(0)), (F(0), F(1))])  # the origin on a facet
 @example([(F(-3), F(0)), (F(3), F(0)), (F(2), F(0)), (F(0), F(1))])  # the 3 farthest are collinear
 @example([(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))])
+# the ring's chord from the first to the last vertex: the box, with a vertical
+# edge at both ends of the chord, and a triangle with nothing above the chord
+@example([(F(x), F(y)) for x in (-1, 1) for y in (-1, 1)])
+@example([(F(0), F(0)), (F(1), F(-1)), (F(2), F(0))])
 # The midpoint of e1 and 2 e2 is farther from the centroid than e1, so it joins
 # the boundary before e1, which then leaves it inside an edge of the 4-d
 # cross-polytope: on four facets whose normals have rank 3, so counting them
